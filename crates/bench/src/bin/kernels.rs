@@ -4,7 +4,12 @@
 //! cargo run --release -p fedgta-bench --bin kernels            # full grid
 //! cargo run --release -p fedgta-bench --bin kernels -- --test  # CI smoke
 //! cargo run --release -p fedgta-bench --bin kernels -- --out path.json
+//! cargo run --release -p fedgta-bench --bin kernels -- --before old.json
 //! ```
+//!
+//! `--before` reads an earlier report (e.g. one written by the parent
+//! commit's build) and records each matching cell's GFLOP/s beside the
+//! fresh one as `before_gflops`.
 //!
 //! Installs the counting allocator so every `_into` kernel's allocation
 //! count is measured (the `blocked matmul ≥ 2× naive` and `0 allocs per
@@ -28,7 +33,24 @@ fn main() {
             std::process::exit(1);
         }
     });
-    let report = kernels::run(quick, Some(alloc_count));
+    let before_json =
+        fedgta_bench::arg_value("--before").map(|p| match std::fs::read_to_string(&p) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: cannot read --before report {p}: {e}");
+                std::process::exit(1);
+            }
+        });
+    let mut report = kernels::run(quick, Some(alloc_count));
+    if let Some(before) = &before_json {
+        match kernels::annotate_before(&mut report, before) {
+            Ok(n) => println!("--before: {n} cells matched"),
+            Err(e) => {
+                eprintln!("error: unreadable --before report: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
     print!("{}", kernels::render_table(&report));
     let json = kernels::to_json(&report);
     match std::fs::write(&out, &json) {

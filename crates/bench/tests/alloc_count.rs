@@ -13,7 +13,9 @@
 use fedgta_bench::alloc::{alloc_count, CountingAlloc};
 use fedgta_graph::par::refresh_thread_env;
 use fedgta_nn::loss::softmax_ce;
-use fedgta_nn::ops::{matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into};
+use fedgta_nn::ops::{
+    matmul_bias_into, matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into,
+};
 use fedgta_nn::optim::Optimizer;
 use fedgta_nn::{Adam, Matrix, Mlp, Workspace};
 
@@ -46,10 +48,10 @@ fn epoch(
 ) -> f32 {
     let (logits, cache) = mlp.forward_ws(x, true, ws);
     let (loss, d_logits) = softmax_ce(&logits, labels, rows);
-    let (grads, dx) = mlp.backward_ws(&cache, &d_logits, None, ws);
+    let (grads, dx) = mlp.backward_ws(&cache, &d_logits, None, true, ws);
     opt.step(mlp.params_mut(), &grads);
     ws.give(grads);
-    ws.give_matrix(dx);
+    ws.give_matrix(dx.expect("input gradient requested"));
     ws.give_matrix(d_logits);
     ws.give_matrix(logits);
     cache.recycle(ws);
@@ -124,6 +126,23 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     matmul_nt_into(dy.view(), bt.view(), &mut out_mk);
     let delta = alloc_count() - before;
     assert_eq!(delta, 0, "_into kernels allocated {delta} times");
+
+    // The per-client paths keep their packing panels on the stack: the
+    // packed weight gradient (n ≥ 16), the narrow bias matmul (n < 16)
+    // and the narrow input gradient (k < 8).
+    let p = gen(300, 40, 6);
+    let dz = gen(300, 32, 7);
+    let w_out = gen(32, 3, 8);
+    let dz_out = gen(300, 3, 9);
+    let mut dw = vec![0f32; 40 * 32];
+    let mut logits = vec![0f32; 300 * 3];
+    let mut dh = vec![0f32; 300 * 32];
+    let before = alloc_count();
+    matmul_tn_into(p.view(), dz.view(), &mut dw);
+    matmul_bias_into(dz.view(), w_out.view(), &[0.1, 0.2, 0.3], &mut logits);
+    matmul_nt_into(dz_out.view(), w_out.view(), &mut dh);
+    let delta = alloc_count() - before;
+    assert_eq!(delta, 0, "per-client kernel paths allocated {delta} times");
 
     std::env::remove_var("FEDGTA_THREADS");
     refresh_thread_env();

@@ -101,7 +101,7 @@ fn mse_epoch(mlp: &mut Mlp, x: &Matrix, target: &Matrix, lr: f32) -> f32 {
     d.axpy(-1.0, target);
     let loss = d.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
     d.scale(2.0 / n);
-    let (grads, _) = mlp.backward(&cache, &d, None);
+    let (grads, _) = mlp.backward(&cache, &d, None, false);
     let mut p = mlp.params().to_vec();
     for (pj, gj) in p.iter_mut().zip(&grads) {
         *pj -= lr * gj;

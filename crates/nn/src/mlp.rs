@@ -249,18 +249,23 @@ impl Mlp {
     ///
     /// `d_logits` is the gradient at the final linear output;
     /// `hidden_grad`, if given, is added to the gradient at the input of
-    /// the final layer. Returns `(flat parameter gradients, gradient
-    /// w.r.t. the batch input)` — both checked out of `ws`; give them back
-    /// after the optimizer step to keep the pool warm. Weight gradients are
-    /// written directly into their slots of the flat buffer (no `dW`
-    /// temporaries).
+    /// the final layer. Returns the flat parameter gradients and, only
+    /// when `input_grad` is set, the gradient w.r.t. the batch input —
+    /// both checked out of `ws`; give them back after the optimizer step
+    /// to keep the pool warm. Weight gradients are written directly into
+    /// their slots of the flat buffer (no `dW` temporaries).
+    ///
+    /// The input gradient `d_out · W₀ᵀ` is a full `rows × in` GEMM that
+    /// no parameter depends on, so callers that do not read it (every
+    /// head over fixed features) pass `input_grad = false` and skip it.
     pub fn backward_ws(
         &self,
         cache: &MlpCache,
         d_logits: &Matrix,
         hidden_grad: Option<&Matrix>,
+        input_grad: bool,
         ws: &mut Workspace,
-    ) -> (Vec<f32>, Matrix) {
+    ) -> (Vec<f32>, Option<Matrix>) {
         let layers = self.num_layers();
         let rows = d_logits.rows();
         let mut grads = ws.take(self.params.len());
@@ -272,11 +277,15 @@ impl Mlp {
             let (ws_off, bs, be) = self.layer_offsets(l);
             matmul_tn_into(x.view(), d_out.view(), &mut grads[ws_off..bs]);
             col_sums_into(&d_out, &mut grads[bs..be]);
+            if l == 0 && !input_grad {
+                ws.give_matrix(d_out);
+                return (grads, None);
+            }
             let mut dx = ws.take_matrix(rows, self.dims[l]);
             matmul_nt_into(d_out.view(), self.weight_view(l), dx.as_mut_slice());
             if l == 0 {
                 ws.give_matrix(d_out);
-                return (grads, dx);
+                return (grads, Some(dx));
             }
             if l == layers - 1 {
                 if let Some(hg) = hidden_grad {
@@ -297,15 +306,16 @@ impl Mlp {
     }
 
     /// Exact backward pass (convenience wrapper over a throwaway
-    /// workspace).
+    /// workspace); see [`Mlp::backward_ws`] for `input_grad`.
     pub fn backward(
         &self,
         cache: &MlpCache,
         d_logits: &Matrix,
         hidden_grad: Option<&Matrix>,
-    ) -> (Vec<f32>, Matrix) {
+        input_grad: bool,
+    ) -> (Vec<f32>, Option<Matrix>) {
         let mut ws = Workspace::new();
-        self.backward_ws(cache, d_logits, hidden_grad, &mut ws)
+        self.backward_ws(cache, d_logits, hidden_grad, input_grad, &mut ws)
     }
 }
 
@@ -357,7 +367,8 @@ mod tests {
 
         let (logits, cache) = mlp.forward(&x, false);
         let (_, d_logits) = softmax_ce(&logits, &labels, &rows);
-        let (grads, _) = mlp.backward(&cache, &d_logits, None);
+        let (grads, dx) = mlp.backward(&cache, &d_logits, None, false);
+        assert!(dx.is_none());
 
         let eps = 1e-2f32;
         let n = mlp.num_params();
@@ -390,7 +401,8 @@ mod tests {
         let rows = vec![0u32, 1];
         let (logits, cache) = mlp.forward(&x, false);
         let (_, d_logits) = softmax_ce(&logits, &labels, &rows);
-        let (_, dx) = mlp.backward(&cache, &d_logits, None);
+        let (_, dx) = mlp.backward(&cache, &d_logits, None, true);
+        let dx = dx.expect("input gradient requested");
         let eps = 1e-2f32;
         for i in 0..2 {
             for j in 0..3 {
@@ -426,7 +438,7 @@ mod tests {
         let (logits, cache) = mlp.forward(&x, false);
         let (_, d_logits) = softmax_ce(&logits, &labels, &rows);
         let hidden = cache.penultimate().clone();
-        let (grads, _) = mlp.backward(&cache, &d_logits, Some(&hidden));
+        let (grads, _) = mlp.backward(&cache, &d_logits, Some(&hidden), false);
         let eps = 1e-2f32;
         let n = mlp.num_params();
         for idx in (0..n).step_by(3) {

@@ -204,9 +204,11 @@ impl GraphModel for Gamlp {
                 .hidden_hook
                 .as_mut()
                 .map(|h| h(batch, cache.penultimate()));
+            // The gate gradient reads the head's input gradient.
             let (head_grads, d_comb) =
                 self.head
-                    .backward_ws(&cache, &d_logits, hidden_grad.as_ref(), &mut ws);
+                    .backward_ws(&cache, &d_logits, hidden_grad.as_ref(), true, &mut ws);
+            let d_comb = d_comb.expect("input gradient requested");
             let gate_grads = self.gate_grad(&gate, &d_comb, &gathered);
             let mut grads = gate_grads;
             grads.extend_from_slice(&head_grads);
@@ -361,7 +363,8 @@ mod tests {
         let (xb, gathered) = Gamlp::combine_rows(&hops, &gate, &all);
         let (logits, cache) = m.head.forward(&xb, false);
         let (_, d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
-        let (head_grads, d_comb) = m.head.backward(&cache, &d_logits, None);
+        let (head_grads, d_comb) = m.head.backward(&cache, &d_logits, None, true);
+        let d_comb = d_comb.expect("input gradient requested");
         let gate_grads = m.gate_grad(&gate, &d_comb, &gathered);
         let mut grads = gate_grads;
         grads.extend(head_grads);

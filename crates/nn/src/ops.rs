@@ -13,7 +13,7 @@
 //!
 //! - [`matmul_into`] (and the fused bias variants) run an **8-row ×
 //!   16-column register-tiled outer-product micro-kernel**
-//!   ([`gemm_rows_tile`]): the `C` tile lives in registers across the
+//!   ([`gemm_rows_tiles`]): the `C` tile lives in registers across the
 //!   entire `k` loop, each loaded `B` block serves eight output rows (8×
 //!   less `B` traffic than a row-at-a-time axpy), and every output element
 //!   is read and written exactly once. Row tails fall back to
@@ -22,16 +22,42 @@
 //!   four contiguous `B` rows through `chunks_exact` column blocks
 //!   ([`axpy4`]) — the same element-wise accumulation order, so the two
 //!   paths agree bit-for-bit.
-//! - [`matmul_tn_into`] reuses the same `8×16` output tiling with the
-//!   transpose folded into the tile indexing (8 consecutive `kk` rows are
-//!   a contiguous 8-wide block of each `A` row), accumulating in strict
-//!   increasing-`i` order.
-//! - [`matmul_nt_into`] computes each output element as a dot product over
-//!   **8 independent accumulator lanes** ([`dot_lanes`]), breaking the
-//!   add-latency chain that serializes a naive dot product.
+//! - **Narrow output columns** (`n % 16`, which is all of `C` for a
+//!   3-class output layer) would otherwise be one scalar add chain per
+//!   element. [`gemm_band_narrow`] copies `B`'s narrow columns into a
+//!   zero-padded 8- or 16-wide stack panel and runs the same register
+//!   tile on a stack copy of the band's output columns, so they vectorize
+//!   across the band's eight rows.
+//! - [`matmul_tn_into`] (`Aᵀ·B`, the weight gradient) runs the *forward*
+//!   micro-kernel too: for each 8-row output band (8 consecutive `kk`, i.e.
+//!   8 columns of `A`, strided by `k`), [`gemm_tn_tiles`] packs 256-row
+//!   slabs of those columns into eight contiguous stack rows and hands
+//!   them to [`gemm_rows_tiles`] with `m` as the inner dimension. The
+//!   `n % 16` narrow columns need no packing: a band's 8 values of each
+//!   `A` row are already contiguous, and [`gemm_tn_narrow`] accumulates
+//!   four columns at a time, 8-wide across the band's rows.
+//! - [`matmul_nt_into`] (`A·Bᵀ`, the input gradient) computes each output
+//!   element as a dot product over **8 independent accumulator lanes**
+//!   ([`dot_lanes`]), breaking the add-latency chain that serializes a
+//!   naive dot product. For `k < 8` no lane ever fills, and the element
+//!   is the tail chain alone: [`matmul_nt_narrow`] transposes the small
+//!   `B` onto the stack and runs the forward kernel instead, which
+//!   accumulates exactly that chain.
 //! - [`matmul_bias_relu_into`] fuses the hidden-layer epilogue: the output
 //!   row is *initialized with the bias*, accumulated, and rectified in one
 //!   pass — no separate `add_bias`/`relu_inplace` sweeps over the matrix.
+//!
+//! **Why the narrow and packed paths change no bit.** Every path above
+//! except the lane-split dot product keeps each output element as *one*
+//! left-to-right chain of IEEE binary
+//! adds over the inner index, seeded from the output's initial value
+//! (zero or the bias), with no fused multiply-add (rustc never contracts
+//! `a * b + c`). Packing only moves operands; splitting the inner
+//! dimension into panels stores the partial sum to `C` and reloads it,
+//! which is exact. So the result depends only on the per-element order,
+//! not on tile widths, panel sizes, padding or thread count.
+//! `prop_kernels.rs` pins each kernel bit for bit against its reference
+//! order at per-client shapes.
 //!
 //! The seed kernels skipped `A` zeros with a branch in the innermost loop
 //! (`if av == 0.0 { continue }`); that branch defeated vectorization and
@@ -123,59 +149,106 @@ const ROW_BLOCK: usize = 8;
 /// results: per-element accumulation order is width-independent.
 const TILE_COLS: usize = 16;
 
-/// A [`ROW_BLOCK`]-row band of `C = A·B` at once: an outer-product
-/// micro-kernel holding an `8×16` register tile of `C` across the whole
-/// `k` loop, so every loaded `B` block serves eight output rows (8× less
-/// `B` traffic than a row-at-a-time axpy) and each output element is read
-/// and written exactly once.
+/// The full [`TILE_COLS`]-wide column tiles of a [`ROW_BLOCK`]-row band of
+/// `C = A·B`: an outer-product micro-kernel holding an `8×16` register
+/// tile of `C` across the whole `k` loop, so every loaded `B` block serves
+/// eight output rows (8× less `B` traffic than a row-at-a-time axpy) and
+/// each output element is read and written exactly once per call.
 ///
 /// `out` is the band of contiguous output rows (length `ROW_BLOCK·n`),
-/// pre-initialized (zeros, or the bias for the fused epilogue).
-/// Accumulation per element is strict increasing-`k` order — the same
-/// left-to-right chain of binary adds as [`gemm_row`], so the two paths
-/// agree bit-for-bit and the `rows % ROW_BLOCK` tail can fall back to the
-/// single-row kernel.
+/// pre-initialized (zeros, the bias for the fused epilogue, or the partial
+/// sums of an earlier call over a preceding `k` range). Accumulation per
+/// element is strict increasing-`k` order — the same left-to-right chain
+/// of binary adds as [`gemm_row`], so the two paths agree bit-for-bit and
+/// the `rows % ROW_BLOCK` tail can fall back to the single-row kernel.
+/// Columns past the last full tile are left to [`gemm_band_narrow`].
+/// `T` is the tile width: [`TILE_COLS`], or 8 for a narrow remainder.
+///
+/// Band row `r` of `A` is `a[r·lda .. r·lda + k]`. Slicing the rows here,
+/// from one base and stride, lets LLVM address them with base+stride
+/// arithmetic and drop the per-row bounds checks from the `k` loop.
 #[inline]
-fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize) {
+fn gemm_rows_tiles<const T: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+) {
     debug_assert_eq!(out.len(), ROW_BLOCK * n);
-    let k = arows[0].len();
-    let nb = n / TILE_COLS * TILE_COLS;
+    let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
+    let nb = n / T * T;
     let mut j = 0;
     while j < nb {
-        let mut acc = [[0f32; TILE_COLS]; ROW_BLOCK];
+        let mut acc = [[0f32; T]; ROW_BLOCK];
         for (r, a) in acc.iter_mut().enumerate() {
-            a.copy_from_slice(&out[r * n + j..r * n + j + TILE_COLS]);
+            a.copy_from_slice(&out[r * n + j..r * n + j + T]);
         }
         for kk in 0..k {
-            let b = &bd[kk * n + j..kk * n + j + TILE_COLS];
+            let b = &bd[kk * n + j..kk * n + j + T];
             for (r, a) in acc.iter_mut().enumerate() {
                 let av = arows[r][kk];
-                for l in 0..TILE_COLS {
+                for l in 0..T {
                     a[l] += av * b[l];
                 }
             }
         }
         for (r, a) in acc.iter().enumerate() {
-            out[r * n + j..r * n + j + TILE_COLS].copy_from_slice(a);
+            out[r * n + j..r * n + j + T].copy_from_slice(a);
         }
-        j += TILE_COLS;
+        j += T;
     }
-    // Column tail: scalar per column, same strict k order.
-    while j < n {
-        let mut s = [0f32; ROW_BLOCK];
-        for (r, sv) in s.iter_mut().enumerate() {
-            *sv = out[r * n + j];
+}
+
+/// `k` steps per packed panel of [`gemm_band_narrow`] (its `B` panel is
+/// `PANEL_K × TILE_COLS`, 8 KiB on the stack).
+const PANEL_K: usize = 128;
+
+/// The `n − j0 < 16` narrow columns of the first `rb` rows of a chunk
+/// (`rb` a multiple of [`ROW_BLOCK`]; `chunk` row `r` is `A` row
+/// `start + r`), at tile width `T ≥ n − j0`.
+///
+/// `B`'s narrow columns are copied, `PANEL_K` rows at a time, into a
+/// zero-padded `T`-wide stack panel. Each band then runs the register
+/// tile [`gemm_rows_tiles`] on a `ROW_BLOCK × T` stack copy of its output
+/// columns, and copies the valid columns back. The padding columns only
+/// ever hold products with zero and are dropped. Per element the sum is
+/// one strict increasing-`k` chain seeded from `chunk`, as in
+/// [`gemm_row`], so a 3-class output layer vectorizes across its eight
+/// band rows without changing a bit.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn gemm_band_narrow<const T: usize>(
+    chunk: &mut [f32],
+    start: usize,
+    rb: usize,
+    ad: &[f32],
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    j0: usize,
+) {
+    let w = n - j0;
+    debug_assert!(w <= T && T <= TILE_COLS);
+    let mut bpanel = [0f32; PANEL_K * TILE_COLS];
+    for k0 in (0..k).step_by(PANEL_K) {
+        let kc = (k - k0).min(PANEL_K);
+        for t in 0..kc {
+            bpanel[t * T..t * T + w].copy_from_slice(&bd[(k0 + t) * n + j0..(k0 + t + 1) * n]);
         }
-        for kk in 0..k {
-            let bv = bd[kk * n + j];
-            for (r, sv) in s.iter_mut().enumerate() {
-                *sv += arows[r][kk] * bv;
+        for r in (0..rb).step_by(ROW_BLOCK) {
+            let mut tile = [0f32; ROW_BLOCK * TILE_COLS];
+            let tile = &mut tile[..ROW_BLOCK * T];
+            for i in 0..ROW_BLOCK {
+                tile[i * T..i * T + w].copy_from_slice(&chunk[(r + i) * n + j0..(r + i + 1) * n]);
+            }
+            let a = &ad[(start + r) * k + k0..];
+            gemm_rows_tiles::<T>(tile, a, k, kc, &bpanel[..kc * T], T);
+            for i in 0..ROW_BLOCK {
+                chunk[(r + i) * n + j0..(r + i + 1) * n].copy_from_slice(&tile[i * T..i * T + w]);
             }
         }
-        for (r, &sv) in s.iter().enumerate() {
-            out[r * n + j] = sv;
-        }
-        j += 1;
     }
 }
 
@@ -183,23 +256,30 @@ fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: u
 /// rows (`chunk.len() == rows.len() * n`), falling back to [`gemm_row`]
 /// for the `rows % ROW_BLOCK` tail. Bit-identical to calling [`gemm_row`]
 /// on every row.
+///
+/// Full 16-column tiles go through [`gemm_rows_tiles`]; the `n % 16`
+/// columns past them (all of `C` when `n < 16`, e.g. a 3-class output
+/// layer) through [`gemm_band_narrow`], at tile width 8 when they fit.
 #[inline]
 fn gemm_band(chunk: &mut [f32], rows: std::ops::Range<usize>, ad: &[f32], k: usize, bd: &[f32], n: usize) {
     let count = rows.len();
     let start = rows.start;
     let rb = count / ROW_BLOCK * ROW_BLOCK;
-    let mut r = 0;
-    while r < rb {
-        let row = start + r;
-        let arows: [&[f32]; ROW_BLOCK] =
-            std::array::from_fn(|i| &ad[(row + i) * k..(row + i + 1) * k]);
-        gemm_rows_tile(&mut chunk[r * n..(r + ROW_BLOCK) * n], &arows, bd, n);
-        r += ROW_BLOCK;
+    let nb = n / TILE_COLS * TILE_COLS;
+    for r in (0..rb).step_by(ROW_BLOCK) {
+        let band = &mut chunk[r * n..(r + ROW_BLOCK) * n];
+        gemm_rows_tiles::<TILE_COLS>(band, &ad[(start + r) * k..], k, k, bd, n);
     }
-    while r < count {
+    if nb < n && rb > 0 {
+        if n - nb <= TILE_COLS / 2 {
+            gemm_band_narrow::<{ TILE_COLS / 2 }>(chunk, start, rb, ad, k, bd, n, nb);
+        } else {
+            gemm_band_narrow::<TILE_COLS>(chunk, start, rb, ad, k, bd, n, nb);
+        }
+    }
+    for r in rb..count {
         let row = start + r;
         gemm_row(&mut chunk[r * n..(r + 1) * n], &ad[row * k..(row + 1) * k], bd, n);
-        r += 1;
     }
 }
 
@@ -319,12 +399,13 @@ pub fn matmul_bias_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: &mut 
 ///
 /// This is the weight-gradient kernel (`dW = Xᵀ · dY`); `out` may alias a
 /// sub-slice of a flat gradient buffer, which is exactly how
-/// [`crate::mlp::Mlp::backward_ws`] uses it. The transpose is fused into
-/// the tile indexing: an `8×16` register tile of `C` (8 consecutive `kk`
-/// rows — a *contiguous* 8-wide block of each `A` row — times 16 `B`
-/// columns) accumulates across the entire `i` loop, so `C` is written
-/// exactly once and each loaded `B` block serves eight output rows.
-/// Accumulation per element is strict increasing-`i` order.
+/// [`crate::mlp::Mlp::backward_ws`] uses it. Output rows go in
+/// [`ROW_BLOCK`]-row bands (8 consecutive `kk`). A band's full 16-column
+/// tiles run the forward micro-kernel [`gemm_rows_tiles`] over an `A`
+/// panel packed by [`gemm_tn_tiles`]; its `n % 16` narrow columns read
+/// the `A` rows in place, where the band's 8 values of each row are
+/// already contiguous ([`gemm_tn_narrow`]). Accumulation per element is
+/// strict increasing-`i` order on every path.
 pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     record_matmul_flops(a.rows(), a.cols(), b.cols());
     assert_eq!(a.rows(), b.rows(), "matmul_tn outer dim mismatch");
@@ -336,75 +417,123 @@ pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
         let rows = range.len();
         let start = range.start;
         let rb = rows / ROW_BLOCK * ROW_BLOCK;
-        let mut r = 0;
-        while r < rb {
-            gemm_tn_band(&mut chunk[r * n..(r + ROW_BLOCK) * n], start + r, ad, m, k, bd, n);
-            r += ROW_BLOCK;
+        let nb = n / TILE_COLS * TILE_COLS;
+        chunk.fill(0.0);
+        if nb > 0 && rb > 0 {
+            let mut panel = [0f32; ROW_BLOCK * TN_PANEL];
+            for r in (0..rb).step_by(ROW_BLOCK) {
+                let band = &mut chunk[r * n..(r + ROW_BLOCK) * n];
+                gemm_tn_tiles(band, start + r, ad, m, k, bd, n, &mut panel);
+            }
         }
-        // Row tail (`kk` rows beyond the last full tile): one output row
+        if nb < n {
+            for r in (0..rb).step_by(ROW_BLOCK) {
+                let band = &mut chunk[r * n..(r + ROW_BLOCK) * n];
+                gemm_tn_narrow(band, n, nb, &ad[start + r..], k, bd, m);
+            }
+        }
+        // Row tail (`kk` rows beyond the last full band): one output row
         // at a time, still strict increasing-i accumulation.
-        while r < rows {
+        for r in rb..rows {
             let kk = start + r;
             let orow = &mut chunk[r * n..(r + 1) * n];
-            orow.fill(0.0);
             for i in 0..m {
                 axpy1(orow, ad[i * k + kk], &bd[i * n..(i + 1) * n]);
             }
-            r += 1;
         }
     });
 }
 
-/// [`ROW_BLOCK`] output rows of `C = Aᵀ·B` starting at row `kk0`,
-/// register-tiled exactly like [`gemm_rows_tile`]: the `8×16` tile
-/// accumulates in strict increasing-`i` order across the whole outer
-/// dimension, `B` blocks are loaded once per eight output rows, and the
-/// band (`out`, length `ROW_BLOCK·n`) is written exactly once.
+/// Narrow columns accumulated side by side by [`gemm_tn_narrow`].
+const NARROW_GROUP: usize = 4;
+
+/// Columns `j0..n` of the [`ROW_BLOCK`] output rows of `C = Aᵀ·B`
+/// starting at row `kk0`, where `a = &A[kk0..]`: step `i` reads the
+/// contiguous block `a[i·k .. i·k + 8]` (one value per band row) and
+/// `B[i, j]`, so each column is one 8-wide multiply-add per step across
+/// the band's rows. Columns go [`NARROW_GROUP`] at a time for independent
+/// add chains. Every element is one strict increasing-`i` chain from
+/// zero; `out` is overwritten.
 #[inline]
-fn gemm_tn_band(out: &mut [f32], kk0: usize, ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize) {
-    debug_assert_eq!(out.len(), ROW_BLOCK * n);
-    let nb = n / TILE_COLS * TILE_COLS;
-    let mut j = 0;
-    while j < nb {
-        // The accumulator tile is stored TRANSPOSED (`acc[l][rr]`): the
-        // contiguous 8-float `A` block makes LLVM vectorize across `rr`,
-        // and with `rr` as the contiguous axis that vectorization hits
-        // plain vector adds instead of stack gather/scatters. The
-        // transposed write-back at the end is amortized over the `i` loop.
-        let mut acc = [[0f32; ROW_BLOCK]; TILE_COLS];
-        for i in 0..m {
-            let bblk: &[f32; TILE_COLS] =
-                bd[i * n + j..i * n + j + TILE_COLS].try_into().unwrap();
-            let ablk: &[f32; ROW_BLOCK] =
-                ad[i * k + kk0..i * k + kk0 + ROW_BLOCK].try_into().unwrap();
-            for (l, a) in acc.iter_mut().enumerate() {
-                let bv = bblk[l];
-                for rr in 0..ROW_BLOCK {
-                    a[rr] += ablk[rr] * bv;
-                }
-            }
-        }
-        for (l, a) in acc.iter().enumerate() {
-            for (rr, &v) in a.iter().enumerate() {
-                out[rr * n + j + l] = v;
-            }
-        }
-        j += TILE_COLS;
+fn gemm_tn_narrow(out: &mut [f32], n: usize, j0: usize, a: &[f32], k: usize, bd: &[f32], m: usize) {
+    let mut j = j0;
+    while j + NARROW_GROUP <= n {
+        gemm_tn_narrow_group::<NARROW_GROUP>(out, n, j, a, k, bd, m);
+        j += NARROW_GROUP;
     }
-    // Column tail: scalar per column, same strict i order.
-    while j < n {
-        let mut s = [0f32; ROW_BLOCK];
-        for i in 0..m {
-            let bv = bd[i * n + j];
-            let ablk = &ad[i * k + kk0..i * k + kk0 + ROW_BLOCK];
-            for (rr, sv) in s.iter_mut().enumerate() {
-                *sv += ablk[rr] * bv;
+    match n - j {
+        0 => {}
+        1 => gemm_tn_narrow_group::<1>(out, n, j, a, k, bd, m),
+        2 => gemm_tn_narrow_group::<2>(out, n, j, a, k, bd, m),
+        _ => gemm_tn_narrow_group::<3>(out, n, j, a, k, bd, m),
+    }
+}
+
+/// `C` columns from `j0` of [`gemm_tn_narrow`].
+#[inline(always)]
+fn gemm_tn_narrow_group<const C: usize>(
+    out: &mut [f32],
+    n: usize,
+    j0: usize,
+    a: &[f32],
+    k: usize,
+    bd: &[f32],
+    m: usize,
+) {
+    let mut s = [[0f32; ROW_BLOCK]; C];
+    for i in 0..m {
+        let av: &[f32; ROW_BLOCK] = a[i * k..i * k + ROW_BLOCK].try_into().unwrap();
+        let bv: &[f32; C] = bd[i * n + j0..i * n + j0 + C].try_into().unwrap();
+        for (sc, &b) in s.iter_mut().zip(bv) {
+            for r in 0..ROW_BLOCK {
+                sc[r] += av[r] * b;
             }
         }
-        for (rr, &sv) in s.iter().enumerate() {
-            out[rr * n + j] = sv;
+    }
+    for (c, sc) in s.iter().enumerate() {
+        for (r, &v) in sc.iter().enumerate() {
+            out[r * n + j0 + c] = v;
         }
-        j += 1;
+    }
+}
+
+/// `i` steps per packed `A` panel of [`gemm_tn_tiles`] (a
+/// `ROW_BLOCK × TN_PANEL` stack buffer, 8 KiB).
+const TN_PANEL: usize = 256;
+
+/// The full column tiles of the [`ROW_BLOCK`] output rows of `C = Aᵀ·B`
+/// starting at row `kk0` (`out`, zero-initialized, length `ROW_BLOCK·n`).
+///
+/// `Aᵀ`'s band rows are the `A` columns `kk0..kk0+8`, strided by `k` in
+/// memory. Each `TN_PANEL`-row slab of them is copied into `panel` as
+/// eight contiguous rows, and the forward micro-kernel [`gemm_rows_tiles`]
+/// accumulates the slab into `out` with `B`'s matching rows. Slabs run in
+/// increasing `i`, and the kernel reloads its register tile from `out`,
+/// so every element keeps one strict increasing-`i` chain.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn gemm_tn_tiles(
+    out: &mut [f32],
+    kk0: usize,
+    ad: &[f32],
+    m: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    panel: &mut [f32; ROW_BLOCK * TN_PANEL],
+) {
+    debug_assert_eq!(out.len(), ROW_BLOCK * n);
+    for i0 in (0..m).step_by(TN_PANEL) {
+        let ic = (m - i0).min(TN_PANEL);
+        for i in 0..ic {
+            let src: &[f32; ROW_BLOCK] = ad[(i0 + i) * k + kk0..(i0 + i) * k + kk0 + ROW_BLOCK]
+                .try_into()
+                .unwrap();
+            for (r, &v) in src.iter().enumerate() {
+                panel[r * TN_PANEL + i] = v;
+            }
+        }
+        gemm_rows_tiles::<TILE_COLS>(out, &panel[..], TN_PANEL, ic, &bd[i0 * n..(i0 + ic) * n], n);
     }
 }
 
@@ -413,7 +542,8 @@ fn gemm_tn_band(out: &mut [f32], kk0: usize, ad: &[f32], m: usize, k: usize, bd:
 ///
 /// This is the input-gradient kernel (`dX = dY · Wᵀ`): each output element
 /// is a dot product of two contiguous rows, computed with the lane-split
-/// accumulator of [`dot_lanes`].
+/// accumulator of [`dot_lanes`]. Below 8 inner steps the lanes never fill
+/// and [`matmul_nt_narrow`] computes the same chain on the forward kernel.
 pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     record_matmul_flops(a.rows(), a.cols(), b.rows());
     assert_eq!(a.cols(), b.cols(), "matmul_nt inner dim mismatch");
@@ -421,6 +551,9 @@ pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     let n = b.rows();
     assert_eq!(out.len(), m * n, "matmul_nt output size mismatch");
     let (ad, bd) = (a.as_slice(), b.as_slice());
+    if k < LANES && n * k <= NT_PANEL {
+        return matmul_nt_narrow(ad, bd, m, k, n, out);
+    }
     par_chunks_mut(out, m, n, |_, chunk, range| {
         for (local, row) in range.enumerate() {
             let arow = &ad[row * k..(row + 1) * k];
@@ -429,6 +562,35 @@ pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
                 *o = dot_lanes(arow, &bd[j * k..(j + 1) * k]);
             }
         }
+    });
+}
+
+/// Largest `n·k` of the stack-transposed `B` in [`matmul_nt_narrow`]
+/// (8 KiB).
+const NT_PANEL: usize = 2048;
+
+/// [`matmul_nt_into`] for `k < LANES`, where [`dot_lanes`] never fills a
+/// lane: each element is then `(+0 + +0) + tail`, with `tail` the strict
+/// increasing-`k` chain `((+0 + a₀b₀) + a₁b₁) + …`. That chain is exactly
+/// what `A · Bᵀ` accumulates in [`gemm_band`] from a zeroed output, so
+/// `Bᵀ` (at most [`NT_PANEL`] floats) is transposed onto the stack and
+/// the product runs the forward kernel.
+///
+/// The lane sum's `+0 +` is dropped: it could only change a `−0.0` tail
+/// into `+0.0`, and a chain seeded with `+0.0` never reaches `−0.0`
+/// (round-to-nearest gives `+0.0` for `+0 + −0` and for an exact
+/// cancellation), so it never changes a bit.
+fn matmul_nt_narrow(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let mut bt = [0f32; NT_PANEL];
+    for (j, brow) in bd.chunks_exact(k.max(1)).take(n).enumerate() {
+        for (kk, &v) in brow.iter().enumerate() {
+            bt[kk * n + j] = v;
+        }
+    }
+    let bt = &bt[..k * n];
+    par_chunks_mut(out, m, n, |_, chunk, range| {
+        chunk.fill(0.0);
+        gemm_band(chunk, range, ad, k, bt, n);
     });
 }
 

@@ -69,6 +69,128 @@ fn blocked_matches_naive_at_spec_shapes() {
     }
 }
 
+/// Per-client row counts: single rows, band and panel edges, the
+/// GAMLP/SGC client sizes and a pubmed-sized client.
+const BITWISE_M: &[usize] = &[1, 5, 8, 13, 37, 130, 257, 2200];
+/// Feature, hidden and class widths of the benchmark workloads, plus the
+/// lane and tile edges between them.
+const BITWISE_DIMS: &[usize] = &[3, 8, 32, 41, 128];
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Reference `C = bias + A·B`: each element seeded with its bias and
+/// accumulated in strict increasing-`k` order.
+fn bias_reference(a: &Matrix, b: &Matrix, bias: &[f32]) -> Vec<f32> {
+    let (m, k) = a.shape();
+    let n = b.cols();
+    let mut c = vec![0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = bias[j];
+            for kk in 0..k {
+                acc += a.get(i, kk) * b.get(kk, j);
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// Reference `C = A·Bᵀ` with the lane split spelled out: lane `l` sums
+/// the products at `kk ≡ l (mod 8)` over the full 8-blocks, the `k % 8`
+/// tail runs one chain from 0, and the result is
+/// `((l₀+l₁)+(l₂+l₃)) + ((l₄+l₅)+(l₆+l₇))`, plus the tail.
+fn nt_reference(a: &Matrix, b: &Matrix) -> Vec<f32> {
+    let (m, k) = a.shape();
+    let n = b.rows();
+    let full = k / 8 * 8;
+    let mut c = vec![0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut lanes = [0f32; 8];
+            for kk in 0..full {
+                lanes[kk % 8] += a.get(i, kk) * b.get(j, kk);
+            }
+            let mut tail = 0f32;
+            for kk in full..k {
+                tail += a.get(i, kk) * b.get(j, kk);
+            }
+            let front = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            let back = (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]);
+            c[i * n + j] = (front + back) + tail;
+        }
+    }
+    c
+}
+
+/// Every dense `_into` kernel equals its accumulation-order reference
+/// bit for bit at per-client shapes. `gen` never yields 0.0, so the
+/// references' zero-skip branches (`ops::naive`) never fire and no
+/// product is a signed zero: any reordered sum shows as a changed bit.
+#[test]
+fn dense_kernels_match_reference_order_bitwise_at_client_shapes() {
+    for &m in BITWISE_M {
+        for &k in BITWISE_DIMS {
+            for &n in BITWISE_DIMS {
+                let seed = (m * 131 + k * 17 + n) as u64;
+                let a = gen(m, k, seed);
+                let w = gen(k, n, seed + 1);
+                let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 1.5) * 0.0625).collect();
+                let shape = format!("m={m} k={k} n={n}");
+
+                let mut out = vec![f32::NAN; m * n];
+                matmul_into(a.view(), w.view(), &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(ops::naive::matmul(&a, &w).as_slice()),
+                    "matmul {shape}"
+                );
+
+                let with_bias = bias_reference(&a, &w, &bias);
+                matmul_bias_into(a.view(), w.view(), &bias, &mut out);
+                assert_eq!(bits(&out), bits(&with_bias), "matmul_bias {shape}");
+
+                let relu: Vec<f32> = with_bias
+                    .iter()
+                    .map(|&v| if v < 0.0 { 0.0 } else { v })
+                    .collect();
+                matmul_bias_relu_into(a.view(), w.view(), &bias, &mut out);
+                assert_eq!(bits(&out), bits(&relu), "matmul_bias_relu {shape}");
+
+                let dy = gen(m, n, seed + 2);
+                let mut out_tn = vec![f32::NAN; k * n];
+                matmul_tn_into(a.view(), dy.view(), &mut out_tn);
+                assert_eq!(
+                    bits(&out_tn),
+                    bits(ops::naive::matmul_tn(&a, &dy).as_slice()),
+                    "matmul_tn {shape}"
+                );
+
+                let bt = gen(n, k, seed + 3);
+                matmul_nt_into(a.view(), bt.view(), &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&nt_reference(&a, &bt)),
+                    "matmul_nt {shape}"
+                );
+            }
+        }
+    }
+}
+
+/// The narrow `matmul_nt` path (k < 8) drops `dot_lanes`' `+0 +` lane
+/// sum; a product chain of signed zeros must still come out as +0.0.
+#[test]
+fn narrow_nt_keeps_positive_zero_for_signed_zero_products() {
+    let a = Matrix::from_vec(1, 3, vec![-1.0, 1.0, -1.0]);
+    let b = Matrix::from_vec(2, 3, vec![0.0, -0.0, 0.0, 1.0, 1.0, 1.0]);
+    let c = matmul_nt(&a, &b);
+    assert_eq!(c.get(0, 0).to_bits(), 0f32.to_bits());
+    assert_eq!(c.get(0, 1), -1.0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -112,7 +112,8 @@ proptest! {
         let x = Matrix::from_vec(2, 3, vec![0.1; 6]);
         let (logits, cache) = mlp.forward(&x, false);
         let d = Matrix::zeros(logits.rows(), logits.cols());
-        let (grads, dx) = mlp.backward(&cache, &d, None);
+        let (grads, dx) = mlp.backward(&cache, &d, None, true);
+        let dx = dx.expect("input gradient requested");
         prop_assert!(grads.iter().all(|&g| g == 0.0));
         prop_assert!(dx.as_slice().iter().all(|&g| g == 0.0));
     }
