@@ -5,7 +5,7 @@ use fedgta_bench::{make_strategy, partition_benchmark, SplitKind, STRATEGY_NAMES
 use fedgta_data::{load_benchmark, save_benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
-use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation, TransportMode};
+use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation};
 use fedgta_fed::CodecSpec;
 use fedgta_graph::metrics::{degree_stats, edge_homophily};
 use fedgta_nn::models::{ModelConfig, ModelKind};
@@ -50,11 +50,9 @@ USAGE:
                         flight recorder's last events + the deterministic
                         fault log + the metric registry. Same fault seed ⇒
                         byte-identical dump; render with 'postmortem')
-                       [--transport direct|channel] (message path; 'channel'
-                        routes every round over the in-process transport with
-                        FGTM envelopes + CRC. Defaults to 'channel' when any
-                        fault/robustness flag is given, else 'direct'; with
-                        no faults both paths are bit-identical)
+                       (every round crosses the in-process transport as
+                        FGTM envelopes + CRC; the flags below inject faults
+                        and arm codecs on it)
                        [--faults <spec>]       (fault injection, e.g.
                         'drop=0.1,corrupt=0.05,crash=0.02,delay=20,slow=0.25x4,
                         retries=3,backoff=50' — all decisions derive from
@@ -73,8 +71,7 @@ USAGE:
                        [--codec <chain>]       (upload codec chain, '+'-joined:
                         identity, quant-i8, quant-f16, topk[=N] — e.g.
                         'topk=64+quant-i8'. 'none' (default) = plain uploads;
-                        lossless chains are bit-identical to plain. Implies
-                        --transport channel)
+                        lossless chains are bit-identical to plain)
                        [--codec-arg k=N]       (codec parameter overrides;
                         'k' sets TopK's kept-entry count)
                        [--error-feedback]      (per-client residual accumulator:
@@ -84,7 +81,7 @@ USAGE:
                        [--codec-down <chain>]  (broadcast codec for the
                         server→client download leg, same chain syntax as
                         --codec; 'none' (default) keeps plain broadcasts
-                        byte-identical. Implies --transport channel)
+                        byte-identical)
                        [--codec-sketch <chain>] (codec for the auxiliary
                         payload tensors — FedGTA's LP moment statistics —
                         routed separately from the parameter tensor;
@@ -465,28 +462,12 @@ fn render_postmortem(text: &str) -> Result<String, Box<dyn Error>> {
     Ok(out)
 }
 
-/// Builds the transport/robustness config from `--transport`, `--faults`,
+/// Builds the transport/robustness config from `--faults`,
 /// `--fault-seed`, `--deadline`, `--min-quorum`, `--oversample`,
 /// `--max-resamples`, `--codec`, `--codec-arg`, `--codec-down`,
-/// `--codec-sketch` and `--error-feedback`. Returns `None` for
-/// the direct (pre-transport) message path. The transport defaults to
-/// `channel` as soon as any robustness or codec flag is present, so
-/// `--faults drop=0.1` or `--codec quant-i8` alone "just works".
-fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
-    let robust_flags = [
-        "faults", "fault-seed", "deadline", "min-quorum", "oversample", "max-resamples",
-        "codec", "codec-arg", "codec-down", "codec-sketch", "error-feedback",
-    ];
-    // `--codec none` is an explicit request for plain uploads, not a
-    // robustness flag — it must not flip the transport default.
-    let any_robust = robust_flags.iter().any(|k| {
-        a.str_opt(k).is_some_and(|v| {
-            let explicit_off = (matches!(*k, "codec" | "codec-down" | "codec-sketch")
-                && v == "none")
-                || (*k == "error-feedback" && v == "false");
-            !explicit_off
-        })
-    });
+/// `--codec-sketch` and `--error-feedback`. With none of them the
+/// config is the fault-free default.
+fn parse_comms(a: &Args) -> Result<CommsConfig, Box<dyn Error>> {
     let parse_chain = |flag: &str| -> Result<Option<CodecSpec>, Box<dyn Error>> {
         match a.str_opt(flag) {
             None | Some("none") => Ok(None),
@@ -509,36 +490,24 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
     if codec_sketch.is_some() && codec.is_none() {
         return Err("--codec-sketch needs a --codec chain for the model tensor".into());
     }
-    let transport = a.str_or("transport", if any_robust { "channel" } else { "direct" });
-    match transport.as_str() {
-        "direct" => {
-            if any_robust {
-                return Err("--transport direct is incompatible with fault/robustness/codec flags".into());
-            }
-            Ok(None)
-        }
-        "channel" => {
-            let faults = match a.str_opt("faults") {
-                Some(spec) => FaultConfig::parse(spec)?,
-                None => FaultConfig::default(),
-            };
-            let defaults = CommsConfig::default();
-            Ok(Some(CommsConfig {
-                mode: TransportMode::Transport,
-                faults,
-                fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
-                deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,
-                min_quorum: a.num_or("min-quorum", defaults.min_quorum)?,
-                oversample: a.num_or("oversample", defaults.oversample)?,
-                max_resamples: a.num_or("max-resamples", defaults.max_resamples)?,
-                codec,
-                codec_down,
-                codec_sketch,
-                error_feedback,
-            }))
-        }
-        other => Err(format!("unknown --transport '{other}' (direct|channel)").into()),
-    }
+    let faults = match a.str_opt("faults") {
+        Some(spec) => FaultConfig::parse(spec)?,
+        None => FaultConfig::default(),
+    };
+    let defaults = CommsConfig::default();
+    Ok(CommsConfig {
+        faults,
+        fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
+        deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,
+        min_quorum: a.num_or("min-quorum", defaults.min_quorum)?,
+        oversample: a.num_or("oversample", defaults.oversample)?,
+        max_resamples: a.num_or("max-resamples", defaults.max_resamples)?,
+        codec,
+        codec_down,
+        codec_sketch,
+        error_feedback,
+        ..defaults
+    })
 }
 
 fn parse_split(s: &str) -> Result<SplitKind, String> {
@@ -697,25 +666,23 @@ pub fn run(a: &Args) -> CliResult {
         split.name(),
         fedgta_graph::par::resolve_threads(Some(threads)),
     );
-    if let Some(cc) = &comms {
+    println!(
+        "transport: channel (fault seed {}, deadline {} ms, quorum ≥ {}, oversample {:.2}, faults: drop {} corrupt {} crash {} delay {} ms)",
+        comms.fault_seed,
+        comms.deadline_ms,
+        comms.min_quorum,
+        comms.oversample,
+        comms.faults.drop,
+        comms.faults.corrupt,
+        comms.faults.crash,
+        comms.faults.delay_ms,
+    );
+    if let Some(spec) = &comms.codec {
         println!(
-            "transport: channel (fault seed {}, deadline {} ms, quorum ≥ {}, oversample {:.2}, faults: drop {} corrupt {} crash {} delay {} ms)",
-            cc.fault_seed,
-            cc.deadline_ms,
-            cc.min_quorum,
-            cc.oversample,
-            cc.faults.drop,
-            cc.faults.corrupt,
-            cc.faults.crash,
-            cc.faults.delay_ms,
+            "codec: {} ({})",
+            spec.name(),
+            if spec.is_lossless() { "lossless — bit-identical to plain uploads" } else { "lossy" },
         );
-        if let Some(spec) = &cc.codec {
-            println!(
-                "codec: {} ({})",
-                spec.name(),
-                if spec.is_lossless() { "lossless — bit-identical to plain uploads" } else { "lossy" },
-            );
-        }
     }
     let mut sim = Simulation::new(
         clients,
@@ -728,10 +695,8 @@ pub fn run(a: &Args) -> CliResult {
             seed,
             threads,
         },
-    );
-    if let Some(cc) = comms.clone() {
-        sim = sim.with_comms(cc);
-    }
+    )
+    .with_comms(comms);
     let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
     if let Some(p) = &pm_path {
         sim = sim.with_postmortem(p.clone());
@@ -767,58 +732,56 @@ pub fn run(a: &Args) -> CliResult {
         100.0 * best_accuracy(&records),
         records.len()
     );
-    if comms.is_some() {
-        let completed: usize = records.iter().map(|r| r.participants_completed).sum();
-        let dropped: usize = records.iter().map(|r| r.participants_dropped).sum();
-        let retries: u64 = records.iter().map(|r| r.retries).sum();
-        let skipped = records.iter().filter(|r| r.participants_completed == 0).count();
-        let mut by_kind = std::collections::BTreeMap::new();
-        for e in &sim.fault_events {
-            *by_kind.entry(e.kind.name()).or_insert(0usize) += 1;
+    let completed: usize = records.iter().map(|r| r.participants_completed).sum();
+    let dropped: usize = records.iter().map(|r| r.participants_dropped).sum();
+    let retries: u64 = records.iter().map(|r| r.retries).sum();
+    let skipped = records.iter().filter(|r| r.participants_completed == 0).count();
+    let mut by_kind = std::collections::BTreeMap::new();
+    for e in &sim.fault_events {
+        *by_kind.entry(e.kind.name()).or_insert(0usize) += 1;
+    }
+    let breakdown = if by_kind.is_empty() {
+        "none".to_string()
+    } else {
+        by_kind
+            .iter()
+            .map(|(k, n)| format!("{k} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    println!(
+        "comms: {completed} uploads accepted, {dropped} participants lost, {retries} retries, {skipped} rounds skipped; fault events: {} ({breakdown})",
+        sim.fault_events.len(),
+    );
+    if skipped > 0 {
+        if let Some(p) = &pm_path {
+            println!(
+                "postmortem dump written to {} (render with 'fedgta-cli postmortem {}')",
+                p.display(),
+                p.display()
+            );
         }
-        let breakdown = if by_kind.is_empty() {
-            "none".to_string()
+    }
+    if sim.comms.codec.is_some() {
+        let raw: u64 = records.iter().map(|r| r.bytes_uploaded_raw as u64).sum();
+        let enc: u64 = records.iter().map(|r| r.bytes_uploaded_encoded as u64).sum();
+        let ef = if sim.comms.error_feedback {
+            " (error feedback on)"
         } else {
-            by_kind
-                .iter()
-                .map(|(k, n)| format!("{k} {n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
+            ""
         };
         println!(
-            "comms: {completed} uploads accepted, {dropped} participants lost, {retries} retries, {skipped} rounds skipped; fault events: {} ({breakdown})",
-            sim.fault_events.len(),
+            "codec: {raw} raw upload bytes → {enc} on the wire ({:.2}x reduction){ef}",
+            raw as f64 / (enc.max(1)) as f64,
         );
-        if skipped > 0 {
-            if let Some(p) = &pm_path {
-                println!(
-                    "postmortem dump written to {} (render with 'fedgta-cli postmortem {}')",
-                    p.display(),
-                    p.display()
-                );
-            }
-        }
-        if comms.as_ref().is_some_and(|cc| cc.codec.is_some()) {
-            let raw: u64 = records.iter().map(|r| r.bytes_uploaded_raw as u64).sum();
-            let enc: u64 = records.iter().map(|r| r.bytes_uploaded_encoded as u64).sum();
-            let ef = if comms.as_ref().is_some_and(|cc| cc.error_feedback) {
-                " (error feedback on)"
-            } else {
-                ""
-            };
-            println!(
-                "codec: {raw} raw upload bytes → {enc} on the wire ({:.2}x reduction){ef}",
-                raw as f64 / (enc.max(1)) as f64,
-            );
-        }
-        if comms.as_ref().is_some_and(|cc| cc.codec_down.is_some()) {
-            let raw: u64 = records.iter().map(|r| r.bytes_downloaded_raw as u64).sum();
-            let enc: u64 = records.iter().map(|r| r.bytes_downloaded_encoded as u64).sum();
-            println!(
-                "codec-down: {raw} raw broadcast bytes → {enc} on the wire ({:.2}x reduction)",
-                raw as f64 / (enc.max(1)) as f64,
-            );
-        }
+    }
+    if sim.comms.codec_down.is_some() {
+        let raw: u64 = records.iter().map(|r| r.bytes_downloaded_raw as u64).sum();
+        let enc: u64 = records.iter().map(|r| r.bytes_downloaded_encoded as u64).sum();
+        println!(
+            "codec-down: {raw} raw broadcast bytes → {enc} on the wire ({:.2}x reduction)",
+            raw as f64 / (enc.max(1)) as f64,
+        );
     }
     finish_obs(obs)?;
     if let Some(path) = a.str_opt("save-params") {
@@ -1017,46 +980,33 @@ mod tests {
 
     #[test]
     fn comms_flags_parse_and_validate() {
-        // No robustness flags → direct path, no config.
-        assert!(parse_comms(&args(&["run"])).unwrap().is_none());
-        // Any robustness flag defaults the transport to 'channel'.
+        // No robustness flags → the fault-free default channel.
+        let clean = parse_comms(&args(&["run"])).unwrap();
+        assert_eq!(clean.faults.drop, 0.0);
+        assert!(clean.codec.is_none() && clean.codec_down.is_none());
         let cc = parse_comms(&args(&["run", "--faults", "drop=0.2,delay=10", "--min-quorum", "2"]))
-            .unwrap()
             .unwrap();
         assert_eq!(cc.faults.drop, 0.2);
         assert_eq!(cc.faults.delay_ms, 10);
         assert_eq!(cc.min_quorum, 2);
-        // Explicit channel with no faults is the clean transport.
-        let clean = parse_comms(&args(&["run", "--transport", "channel"])).unwrap().unwrap();
-        assert_eq!(clean.faults.drop, 0.0);
-        // Contradictory and malformed specs are rejected.
-        assert!(parse_comms(&args(&["run", "--transport", "direct", "--faults", "drop=0.1"])).is_err());
-        assert!(parse_comms(&args(&["run", "--transport", "postal"])).is_err());
+        // Malformed specs are rejected.
         assert!(parse_comms(&args(&["run", "--faults", "drop=2.0"])).is_err());
     }
 
     #[test]
     fn codec_flags_parse_and_validate() {
-        // --codec alone flips the transport default to 'channel'.
-        let cc = parse_comms(&args(&["run", "--codec", "quant-i8"])).unwrap().unwrap();
+        let cc = parse_comms(&args(&["run", "--codec", "quant-i8"])).unwrap();
         assert_eq!(cc.codec.as_ref().unwrap().name(), "quant-i8");
         // --codec-arg overrides TopK's k.
         let cc = parse_comms(&args(&["run", "--codec", "topk+quant-i8", "--codec-arg", "k=32"]))
-            .unwrap()
             .unwrap();
         assert_eq!(cc.codec.as_ref().unwrap().name(), "topk=32+quant-i8");
-        // 'none' means plain uploads and leaves the transport on 'direct'.
-        assert!(parse_comms(&args(&["run", "--codec", "none"])).unwrap().is_none());
-        // Explicit channel + 'none' keeps the transport but arms no codec.
-        let cc = parse_comms(&args(&["run", "--transport", "channel", "--codec", "none"]))
-            .unwrap()
-            .unwrap();
-        assert!(cc.codec.is_none());
+        // 'none' means plain uploads.
+        assert!(parse_comms(&args(&["run", "--codec", "none"])).unwrap().codec.is_none());
         // Invalid chains and orphan --codec-arg are rejected.
         assert!(parse_comms(&args(&["run", "--codec", "zip"])).is_err());
         assert!(parse_comms(&args(&["run", "--codec", "quant-i8+quant-f16"])).is_err());
         assert!(parse_comms(&args(&["run", "--codec-arg", "k=8"])).is_err());
-        assert!(parse_comms(&args(&["run", "--transport", "direct", "--codec", "quant-i8"])).is_err());
     }
 
     #[test]

@@ -22,17 +22,18 @@
 //!   section, on the driver, in participant order.
 
 use crate::client::Client;
-use crate::faults::AttemptFate;
+use crate::faults::{AttemptFate, FaultConfig, FaultPlan, RoundScript};
 use crate::strategies::RoundCtx;
 use crate::transport::{
     corrupt_frame, decode_broadcast_coded, decode_upload, decode_upload_routed,
-    encode_broadcast_coded, encode_upload, encode_upload_routed, CommsRound, Endpoint, MsgKind,
-    WirePayload, SERVER_ID,
+    encode_broadcast_coded, encode_upload_routed, ChannelTransport, CommsRound, Endpoint,
+    MsgKind, WirePayload, SERVER_ID,
 };
 use fedgta_graph::io::{Envelope, TraceContext};
 use fedgta_graph::par::par_map_indexed;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Records one participant's local-training wall time into the
 /// `round.client.train_ns` histogram (cached handle; disarmed cost is one
@@ -74,6 +75,23 @@ pub struct LocalResult<R> {
 /// across `ctx.threads` workers (0 = auto via `FEDGTA_THREADS` /
 /// available parallelism), returning results **in participant order**.
 ///
+/// Every call crosses the wire: the server sends each participant a
+/// `TrainRequest` envelope, client tasks train on worker threads and
+/// upload their results as checksummed envelopes, and the server decodes
+/// the accepted uploads back out of its mailbox. Inside a
+/// [`crate::round::Simulation`] the round's [`CommsRound`] (fault script,
+/// codecs, byte meters) rides in on `ctx.comms`; a call made without one
+/// builds a fault-free one-round channel of its own.
+///
+/// Three determinism anchors:
+///
+/// 1. *which* clients train, retry, straggle or crash is fixed by the
+///    script before any thread spawns;
+/// 2. [`WirePayload`] encoding is bit-exact, so a decoded upload equals
+///    the in-memory result the closure returned;
+/// 3. uploads may land in the server mailbox in any interleaving, but
+///    results are reassembled by sender id **in participant order**.
+///
 /// `participants` may be in any order (GCFL+ clusters are unsorted after
 /// a split) but must be unique and in range; the result vector matches
 /// the caller's order exactly, so downstream floating-point reductions
@@ -93,100 +111,21 @@ where
     R: Send + WirePayload,
     F: Fn(usize, &mut Client) -> (f32, R) + Sync,
 {
-    match ctx.comms {
-        None => train_direct(clients, participants, ctx, f),
-        Some(comms) => train_over_transport(clients, participants, ctx, comms, f),
-    }
-}
-
-/// The classic in-process path: every participant trains, every result
-/// comes back. Bit-identical to the pre-transport simulator by
-/// construction (it *is* the pre-transport simulator).
-fn train_direct<R, F>(
-    clients: &mut [Client],
-    participants: &[usize],
-    ctx: &RoundCtx<'_>,
-    f: F,
-) -> Vec<LocalResult<R>>
-where
-    R: Send,
-    F: Fn(usize, &mut Client) -> (f32, R) + Sync,
-{
-    // The `train` span opens on the driver thread (nesting under the
-    // round's span via the thread-local stack); per-client spans run on
-    // worker threads and parent onto it explicitly via `span_under`.
-    let span = fedgta_obs::span!("train", participants = participants.len());
-    let parent = span.id();
-    let t0 = ctx.train_clock.is_some().then(std::time::Instant::now);
-    let slots = disjoint_slots(clients, participants);
-    let out = run_slots(slots, ctx.threads, |i, c| {
-        let _cg = fedgta_obs::span_under("client_train", parent)
-            .with_field("client", fedgta_obs::FieldVal::from(i));
-        // Declared start-of-round broadcast: load the strategy's model for
-        // this participant before its local step (the in-process twin of
-        // the transport path's broadcast frames).
-        if let Some(v) = ctx.broadcast.and_then(|b| b.vector_for(i)) {
-            c.model.set_params(v);
-            c.opt.reset();
+    let (own_transport, own_script, own_comms);
+    let comms = match ctx.comms {
+        Some(comms) => comms,
+        None => {
+            own_transport = ChannelTransport::new(clients.len());
+            let plan = FaultPlan::new(FaultConfig::default(), 0);
+            own_script = RoundScript::build(&plan, 1, 0, participants, participants.len(), 0);
+            own_comms = CommsRound::new(1, &own_transport, &own_script, None);
+            &own_comms
         }
-        let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-        let (loss, payload) = f(i, c);
-        if let Some(ct0) = ct0 {
-            observe_client_train_ns(ct0.elapsed().as_nanos() as u64);
-        }
-        LocalResult {
-            client: i,
-            loss,
-            payload,
-        }
-    });
-    if let (Some(t0), Some(clock)) = (t0, ctx.train_clock) {
-        clock.add_ns(t0.elapsed().as_nanos() as u64);
-    }
-    out
-}
-
-/// Trace context for an outbound frame: attached only when tracing is
-/// armed *and* the local span is real, so untraced runs (including
-/// recorder-only runs) keep the version-1 wire layout byte for byte.
-fn wire_trace(parent: u64) -> Option<TraceContext> {
-    (fedgta_obs::trace_on() && parent != 0).then(|| TraceContext {
-        trace_id: fedgta_obs::run_trace_id(),
-        parent_span: parent,
-    })
-}
-
-/// The message path: the server task sends `TrainRequest` envelopes per
-/// the round script, client tasks train on worker threads and upload
-/// their results as checksummed envelopes, and the server decodes the
-/// accepted quorum back out of its mailbox.
-///
-/// Three determinism anchors:
-///
-/// 1. *which* clients train, retry, straggle or crash is fixed by the
-///    script before any thread spawns;
-/// 2. [`WirePayload`] encoding is bit-exact, so a decoded upload equals
-///    the in-memory result the direct path would have produced;
-/// 3. uploads may land in the server mailbox in any interleaving, but
-///    results are reassembled by sender id **in participant order**.
-///
-/// With a clean script (no faults, every participant accepted) the
-/// training calls, their order, and the returned results are exactly the
-/// direct path's — contract (1) of the transport layer.
-fn train_over_transport<R, F>(
-    clients: &mut [Client],
-    participants: &[usize],
-    ctx: &RoundCtx<'_>,
-    comms: &CommsRound<'_>,
-    f: F,
-) -> Vec<LocalResult<R>>
-where
-    R: Send + WirePayload,
-    F: Fn(usize, &mut Client) -> (f32, R) + Sync,
-{
+    };
     let script = comms.script;
     let transport = comms.transport;
     let round = comms.round as u32;
+    let upload_kind = if comms.codec.is_some() { MsgKind::UploadCoded } else { MsgKind::Upload };
     let corrupted = AtomicU64::new(0);
     let dropped = AtomicU64::new(0);
     // Client tasks that will train: exactly the clients whose scripted
@@ -198,6 +137,10 @@ where
         .copied()
         .filter(|c| script.fate(*c).is_some_and(|fa| fa.trains))
         .collect();
+    // The `train` span opens on the driver thread (nesting under the
+    // round's span via the thread-local stack); per-client spans run on
+    // worker threads and parent onto it through the requests' wire trace
+    // context.
     let span = fedgta_obs::span!("train", participants = trainers.len());
     let parent = span.id();
     // Server task, request leg: one envelope per scripted attempt.
@@ -228,10 +171,8 @@ where
             }
             _ => None,
         };
-        let (req_kind, req_body) = match &coded_bcast {
-            Some(body) => (MsgKind::BroadcastCoded, body.clone()),
-            None => (MsgKind::TrainRequest, Vec::new()),
-        };
+        let req_kind =
+            if coded_bcast.is_some() { MsgKind::BroadcastCoded } else { MsgKind::TrainRequest };
         for (n, a) in fate.download.iter().enumerate() {
             let env = Envelope {
                 kind: req_kind as u8,
@@ -239,23 +180,42 @@ where
                 sender: SERVER_ID,
                 seq: n as u32,
                 trace: wire_trace(parent),
-                payload: req_body.clone(),
+                payload: coded_bcast.as_deref().unwrap_or_default(),
             };
-            match a {
-                AttemptFate::Drop => {
-                    dropped.fetch_add(1, Ordering::Relaxed);
+            send_attempt(transport, Endpoint::Client(c), a, &dropped, || env.encode());
+        }
+    }
+    // Server task, collect leg: verifies and decodes whatever its
+    // mailbox holds, straight from each frame's bytes. Every worker runs
+    // it right after sending its upload, while the frames are still in
+    // cache, so each sent frame is collected by its sender's call at the
+    // latest. Which call decodes a frame is a thread race; decoding is a
+    // pure function of the frame, results are keyed by sender, and they
+    // are emitted in participant order below.
+    let by_sender: Mutex<BTreeMap<u32, (f32, R)>> = Mutex::new(BTreeMap::new());
+    let collect = || {
+        for frame in transport.drain(Endpoint::Server) {
+            let upload = Envelope::parse(&frame).and_then(|env| {
+                if env.kind != upload_kind as u8 || env.round != round {
+                    return Ok(None);
                 }
-                AttemptFate::Corrupt { bit_seed } => {
-                    let mut frame = env.encode();
-                    corrupt_frame(&mut frame, *bit_seed);
-                    let _ = transport.send(Endpoint::Client(c), frame);
+                let upload = match comms.codec {
+                    None => decode_upload::<R>(env.payload),
+                    Some(codec) => decode_upload_routed::<R>(codec, comms.codec_sketch, env.payload),
+                };
+                upload.map(|u| Some((env.sender, u)))
+            });
+            match upload {
+                Ok(Some((sender, u))) => {
+                    by_sender.lock().expect("collect lock poisoned").insert(sender, u);
                 }
-                AttemptFate::Deliver { .. } => {
-                    let _ = transport.send(Endpoint::Client(c), env.encode());
+                Ok(None) => {}
+                Err(_) => {
+                    corrupted.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-    }
+    };
     let t0 = ctx.train_clock.is_some().then(std::time::Instant::now);
     let slots = disjoint_slots(clients, &trainers);
     run_slots(slots, ctx.threads, |i, c| {
@@ -266,7 +226,7 @@ where
         let mut wire_parent = parent;
         let mut wire_bcast: Option<Vec<f32>> = None;
         for frame in transport.drain(Endpoint::Client(i)) {
-            match Envelope::decode(&frame) {
+            match Envelope::parse(&frame) {
                 Ok(env)
                     if (env.kind == MsgKind::TrainRequest as u8
                         || env.kind == MsgKind::BroadcastCoded as u8)
@@ -278,7 +238,7 @@ where
                         // from the same CommsConfig). A frame that fails
                         // here is hostile, not faulted — reject it like
                         // any other garbage.
-                        match comms.codec_down.map(|d| decode_broadcast_coded(d, &env.payload)) {
+                        match comms.codec_down.map(|d| decode_broadcast_coded(d, env.payload)) {
                             Some(Ok(v)) => wire_bcast = Some(v),
                             _ => {
                                 corrupted.fetch_add(1, Ordering::Relaxed);
@@ -306,20 +266,14 @@ where
         // Start-of-round model: from the wire when the download codec is
         // armed (the decoded — possibly lossy — broadcast), else the
         // strategy's declared vector applied in-process (no codec = the
-        // broadcast never crosses the transport, exactly as before).
-        match comms.codec_down {
-            Some(_) => {
-                if let Some(v) = &wire_bcast {
-                    c.model.set_params(v);
-                    c.opt.reset();
-                }
-            }
-            None => {
-                if let Some(v) = ctx.broadcast.and_then(|b| b.vector_for(i)) {
-                    c.model.set_params(v);
-                    c.opt.reset();
-                }
-            }
+        // broadcast never crosses the transport).
+        let bcast = match comms.codec_down {
+            Some(_) => wire_bcast.as_deref(),
+            None => ctx.broadcast.and_then(|b| b.vector_for(i)),
+        };
+        if let Some(v) = bcast {
+            c.model.set_params(v);
+            c.opt.reset();
         }
         let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
         let (loss, mut payload) = f(i, c);
@@ -329,110 +283,82 @@ where
         let fate = script.fate(i).expect("trainer has a fate");
         // Upload leg: the real result bytes cross the wire; scripted
         // corruption mangles the physical frame. With a codec armed the
-        // body is the *encoded* frame — corruption and drops hit the
-        // compressed bytes, and both byte tallies are metered here (once
-        // per trainer, so the tally is script-deterministic).
-        let body = match comms.codec {
-            None => {
-                let body = encode_upload(loss, &payload);
-                comms.bytes_raw.fetch_add(body.len() as u64, Ordering::Relaxed);
-                comms.bytes_encoded.fetch_add(body.len() as u64, Ordering::Relaxed);
-                body
-            }
-            Some(codec) => {
-                // Error feedback: replace each payload tensor with its
-                // residual-folded delta before encoding. The fold and the
-                // commit below touch only this client's own state inside
-                // its exclusive worker closure — deterministic at any
-                // thread count.
-                let folds = comms.ef.map(|_| {
-                    let state = c.ef.get_or_insert_with(Default::default);
-                    // Anchored EF: re-base the parameter tensor's
-                    // reference at the broadcast this client just loaded
-                    // (the wire-decoded one when a download codec is
-                    // armed), so the pre-encode delta is this round's
-                    // local progress plus the residual, not a drifting
-                    // gap against everyone else's aggregate.
-                    let anchor = match comms.codec_down {
-                        Some(_) => wire_bcast.as_deref(),
-                        None => ctx.broadcast.and_then(|b| b.vector_for(i)),
-                    };
-                    if let Some(a) = anchor {
-                        state.tensor(0).rebase(a);
-                    }
-                    let mut folds = Vec::new();
-                    let mut t = 0usize;
-                    payload.visit_tensors(&mut |v| {
-                        let folded = state.tensor(t).fold(v);
-                        v.clear();
-                        v.extend_from_slice(&folded.fed);
-                        folds.push(folded);
-                        t += 1;
-                    });
-                    folds
+        // body is the *encoded* upload — corruption and drops hit the
+        // compressed bytes. Both byte tallies are metered here (once per
+        // trainer, so the tally is script-deterministic); the raw one is
+        // the plain encoding's size: the loss, then the payload.
+        let raw_len = 4 + payload.wire_len();
+        let coded_body = comms.codec.map(|codec| {
+            // Error feedback: replace each payload tensor with its
+            // residual-folded delta before encoding. The fold and the
+            // commit below touch only this client's own state inside its
+            // exclusive worker closure — deterministic at any thread
+            // count.
+            let folds = comms.ef.map(|_| {
+                let state = c.ef.get_or_insert_with(Default::default);
+                // Anchored EF: re-base the parameter tensor's reference at
+                // the broadcast this client just loaded, so the pre-encode
+                // delta is this round's local progress plus the residual,
+                // not a drifting gap against everyone else's aggregate.
+                if let Some(a) = bcast {
+                    state.tensor(0).rebase(a);
+                }
+                let mut folds = Vec::new();
+                let mut t = 0usize;
+                payload.visit_tensors(&mut |v| {
+                    let folded = state.tensor(t).fold(v);
+                    v.clear();
+                    v.extend_from_slice(&folded.fed);
+                    folds.push(folded);
+                    t += 1;
                 });
-                let raw_len = encode_upload(loss, &payload).len() as u64;
-                let et0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-                let body = encode_upload_routed(codec, comms.codec_sketch, loss, &payload);
-                if let Some(et0) = et0 {
-                    observe_codec_encode_ns(et0.elapsed().as_nanos() as u64);
-                }
-                comms.bytes_raw.fetch_add(raw_len, Ordering::Relaxed);
-                comms.bytes_encoded.fetch_add(body.len() as u64, Ordering::Relaxed);
-                if let Some(folds) = folds {
-                    // Commit against the local decode of our own encoding
-                    // — bitwise what the server decodes from the wire —
-                    // resolved by the scripted acceptance fate (rejected
-                    // uploads carry their full delta to next round).
-                    let (_, mut dec) =
-                        decode_upload_routed::<R>(codec, comms.codec_sketch, &body)
-                            .expect("own coded upload decodes");
-                    let state = c.ef.as_mut().expect("EF state initialized by fold");
-                    let mut t = 0usize;
-                    dec.visit_tensors(&mut |d| {
-                        state.tensor(t).commit(&folds[t], d, fate.accepted);
-                        t += 1;
-                    });
-                }
-                body
+                folds
+            });
+            let et0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
+            let body = encode_upload_routed(codec, comms.codec_sketch, loss, &payload);
+            if let Some(et0) = et0 {
+                observe_codec_encode_ns(et0.elapsed().as_nanos() as u64);
             }
-        };
-        let upload_kind = match comms.codec {
-            None => MsgKind::Upload,
-            Some(_) => MsgKind::UploadCoded,
-        };
+            if let Some(folds) = folds {
+                // Commit against the local decode of our own encoding —
+                // bitwise what the server decodes from the wire —
+                // resolved by the scripted acceptance fate (rejected
+                // uploads carry their full delta to next round).
+                let (_, mut dec) = decode_upload_routed::<R>(codec, comms.codec_sketch, &body)
+                    .expect("own coded upload decodes");
+                let state = c.ef.as_mut().expect("EF state initialized by fold");
+                let mut t = 0usize;
+                dec.visit_tensors(&mut |d| {
+                    state.tensor(t).commit(&folds[t], d, fate.accepted);
+                    t += 1;
+                });
+            }
+            body
+        });
+        let encoded_len = coded_body.as_ref().map_or(raw_len, Vec::len);
+        comms.bytes_raw.fetch_add(raw_len as u64, Ordering::Relaxed);
+        comms.bytes_encoded.fetch_add(encoded_len as u64, Ordering::Relaxed);
         for (n, a) in fate.upload.iter().enumerate() {
-            match a {
-                AttemptFate::Drop => {
-                    dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                AttemptFate::Corrupt { bit_seed } => {
-                    let mut frame = Envelope {
-                        kind: upload_kind as u8,
-                        round,
-                        sender: i as u32,
-                        seq: n as u32,
-                        trace: wire_trace(client_span),
-                        payload: body.clone(),
-                    }
-                    .encode();
-                    corrupt_frame(&mut frame, *bit_seed);
-                    let _ = transport.send(Endpoint::Server, frame);
-                }
-                AttemptFate::Deliver { .. } => {
-                    let frame = Envelope {
-                        kind: upload_kind as u8,
-                        round,
-                        sender: i as u32,
-                        seq: n as u32,
-                        trace: wire_trace(client_span),
-                        payload: body.clone(),
-                    }
-                    .encode();
-                    let _ = transport.send(Endpoint::Server, frame);
-                }
-            }
+            let env = Envelope {
+                kind: upload_kind as u8,
+                round,
+                sender: i as u32,
+                seq: n as u32,
+                trace: wire_trace(client_span),
+                payload: (),
+            };
+            // The body is written straight into the frame buffer.
+            let frame = || match &coded_body {
+                Some(body) => env.encode_with(body.len(), |_, out| out.extend_from_slice(body)),
+                None => env.encode_with(raw_len, |_, out| {
+                    loss.encode(out);
+                    payload.encode(out);
+                }),
+            };
+            send_attempt(transport, Endpoint::Server, a, &dropped, frame);
         }
+        drop(_cg);
+        collect();
     });
     if let (Some(t0), Some(clock)) = (t0, ctx.train_clock) {
         clock.add_ns(t0.elapsed().as_nanos() as u64);
@@ -447,45 +373,12 @@ where
             continue;
         }
         for frame in transport.drain(Endpoint::Client(c)) {
-            if Envelope::decode(&frame).is_err() {
+            if Envelope::parse(&frame).is_err() {
                 corrupted.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
-    // Server task, collect leg: mailbox arrival order is a thread-race
-    // artifact; decode by sender, then emit accepted results in
-    // participant order so downstream reductions are order-stable.
-    let expected_kind = match comms.codec {
-        None => MsgKind::Upload,
-        Some(_) => MsgKind::UploadCoded,
-    } as u8;
-    let mut by_sender: BTreeMap<u32, (f32, R)> = BTreeMap::new();
-    for frame in transport.drain(Endpoint::Server) {
-        match Envelope::decode(&frame) {
-            Err(_) => {
-                corrupted.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(env) => {
-                if env.kind != expected_kind || env.round != round {
-                    continue;
-                }
-                let decoded = match comms.codec {
-                    None => decode_upload::<R>(&env.payload),
-                    Some(codec) => {
-                        decode_upload_routed::<R>(codec, comms.codec_sketch, &env.payload)
-                    }
-                };
-                match decoded {
-                    Ok(v) => {
-                        by_sender.insert(env.sender, v);
-                    }
-                    Err(_) => {
-                        corrupted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
+    let mut by_sender = by_sender.into_inner().expect("collect lock poisoned");
     let mut out = Vec::with_capacity(script.accepted.len());
     for &c in participants {
         let Some(fate) = script.fate(c) else { continue };
@@ -527,6 +420,43 @@ where
         script.total_retries(),
     );
     out
+}
+
+/// Trace context for an outbound frame: attached only when tracing is
+/// armed *and* the local span is real, so untraced runs (including
+/// recorder-only runs) keep the version-1 wire layout byte for byte.
+fn wire_trace(parent: u64) -> Option<TraceContext> {
+    (fedgta_obs::trace_on() && parent != 0).then(|| TraceContext {
+        trace_id: fedgta_obs::run_trace_id(),
+        parent_span: parent,
+    })
+}
+
+/// Replays one scripted attempt: a dropped frame is counted and never
+/// built, a corrupt one is built and bit-flipped in flight, a delivered
+/// one is built and sent intact.
+fn send_attempt(
+    transport: &ChannelTransport,
+    to: Endpoint,
+    attempt: &AttemptFate,
+    dropped: &AtomicU64,
+    frame: impl FnOnce() -> Vec<u8>,
+) {
+    let frame = match attempt {
+        AttemptFate::Drop => {
+            dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        AttemptFate::Corrupt { bit_seed } => {
+            let mut frame = frame();
+            corrupt_frame(&mut frame, *bit_seed);
+            frame
+        }
+        AttemptFate::Deliver { .. } => frame(),
+    };
+    // Unknown endpoints (out-of-range participants) lose the frame; the
+    // slot check panics on them before anything trains.
+    let _ = transport.send(to, frame);
 }
 
 /// Accumulates the transport fault counters into the global registry

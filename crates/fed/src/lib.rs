@@ -16,12 +16,13 @@
 //! - [`round::Simulation`]: the round driver with participation sampling,
 //!   per-round evaluation and wall-clock accounting (Figs. 4–6);
 //! - [`exec::train_participants`]: the deterministic client-parallel
-//!   executor every strategy runs its local steps through — bit-identical
-//!   results for any worker-thread count;
-//! - [`transport`] + [`faults`]: the explicit server/client message path
-//!   (CRC-checksummed envelopes over a [`transport::Transport`]) and the
-//!   seeded fault-injection layer behind the straggler-tolerant round
-//!   orchestrator ([`round::CommsConfig`]);
+//!   executor every strategy runs its local steps through — every call
+//!   crosses the wire, with bit-identical results for any worker-thread
+//!   count;
+//! - [`transport`] + [`faults`]: the server/client message path
+//!   (CRC-checksummed envelopes over a [`transport::ChannelTransport`])
+//!   and the seeded fault-injection layer behind the straggler-tolerant
+//!   round orchestrator ([`round::CommsConfig`]);
 //! - [`codec`]: composable upload codecs (identity, int8/f16
 //!   quantization, top-k sparsification, moment-sketch grouping, chains)
 //!   compressing the client→server leg before the envelope CRC — armed
@@ -51,7 +52,7 @@ pub use exec::{mean_loss, par_clients, train_participants, LocalResult};
 pub use faults::{FaultConfig, FaultEvent, FaultPlan, RoundScript};
 pub use round::{CommsConfig, RoundRecord, SimConfig, Simulation, TransportMode};
 pub use strategies::{Broadcast, RoundCtx, RoundStats, Strategy};
-pub use transport::{ChannelTransport, CommsRound, TensorRouter, Transport, WirePayload};
+pub use transport::{ChannelTransport, CommsRound, TensorRouter, WirePayload};
 
 /// Errors from the federated simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

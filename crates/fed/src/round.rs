@@ -1,9 +1,10 @@
 //! The federated round driver: participation sampling, per-round
 //! evaluation, wall-clock accounting (the machinery behind Figs. 4–6) —
-//! and, when a [`CommsConfig`] is attached, the straggler-tolerant
-//! transport orchestrator: oversampling, per-round deadlines in simulated
-//! time, first-K acceptance, quorum checks with bounded re-sampling, and
-//! graceful round skipping.
+//! and the straggler-tolerant transport orchestrator every round runs
+//! through: oversampling, per-round deadlines in simulated time, first-K
+//! acceptance, quorum checks with bounded re-sampling, and graceful round
+//! skipping. With the default [`CommsConfig`] nothing fails and every
+//! sampled participant is accepted.
 
 use crate::client::Client;
 use crate::eval::global_test_accuracy;
@@ -47,24 +48,22 @@ impl Default for SimConfig {
     }
 }
 
-/// How a round moves bytes between the server and its clients.
+/// How a round moves bytes: always over the [`ChannelTransport`] with
+/// the fault script applied. Kept for source compatibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// The classic in-process function-call round (no envelopes, no
-    /// faults) — the pre-transport simulator.
-    Direct,
-    /// Explicit message rounds over a [`crate::transport::Transport`]
-    /// with the fault script applied.
+    /// The one message path.
     #[default]
     Transport,
 }
 
-/// Transport + robustness configuration, attached to a [`Simulation`]
-/// via [`Simulation::with_comms`]. With the default fault model (all
-/// rates zero) the transport round is bit-identical to [`TransportMode::Direct`].
+/// Transport + robustness configuration of a [`Simulation`], set via
+/// [`Simulation::with_comms`]. The default is fault-free: every sampled
+/// participant trains and is accepted.
 #[derive(Debug, Clone)]
 pub struct CommsConfig {
-    /// Message path selection.
+    /// Unread: every round takes the one message path. Kept for source
+    /// compatibility.
     pub mode: TransportMode,
     /// The fault model (defaults to fault-free).
     pub faults: FaultConfig,
@@ -149,9 +148,8 @@ pub struct RoundRecord {
     /// Bytes the server pushed back down this round.
     pub bytes_downloaded: usize,
     /// Plain-encoding wire bytes of every upload body sent this round —
-    /// what the round would have cost with no codec. Transport mode
-    /// meters this on the actual bodies (all trainers, including lost
-    /// uploads); direct mode mirrors `bytes_uploaded`.
+    /// what the round would have cost with no codec — metered on the
+    /// actual bodies (all trainers, including lost uploads).
     pub bytes_uploaded_raw: usize,
     /// Upload body bytes that actually crossed the wire after the armed
     /// codec (equals `bytes_uploaded_raw` when no codec is armed).
@@ -167,7 +165,6 @@ pub struct RoundRecord {
     /// determinism contract says this never affects the other fields).
     pub threads: usize,
     /// Participants whose uploads the server accepted and aggregated.
-    /// Direct mode: every participant completes.
     pub participants_completed: usize,
     /// Sampled participants whose updates never made it into the
     /// aggregate — crashed, unreachable, lost uploads, stragglers past
@@ -186,9 +183,8 @@ pub struct Simulation {
     pub strategy: Box<dyn Strategy>,
     /// Driver configuration.
     pub config: SimConfig,
-    /// Transport + fault configuration (`None` = direct in-process
-    /// rounds, exactly the pre-transport simulator).
-    pub comms: Option<CommsConfig>,
+    /// Transport + fault configuration (fault-free by default).
+    pub comms: CommsConfig,
     /// Every fault the orchestrator observed, in deterministic order —
     /// the chaos-reproducibility contract says two runs with the same
     /// fault seed produce identical logs.
@@ -207,16 +203,16 @@ impl Simulation {
             clients,
             strategy,
             config,
-            comms: None,
+            comms: CommsConfig::default(),
             fault_events: Vec::new(),
             postmortem: None,
         }
     }
 
-    /// Attaches a transport/fault configuration (builder style).
+    /// Sets the transport/fault configuration (builder style).
     #[must_use]
     pub fn with_comms(mut self, comms: CommsConfig) -> Self {
-        self.comms = Some(comms);
+        self.comms = comms;
         self
     }
 
@@ -238,14 +234,12 @@ impl Simulation {
     /// Runs all rounds; returns per-round records. Always evaluates after
     /// the final round.
     ///
-    /// With a [`CommsConfig`] attached (transport mode) each round first
-    /// scripts its fate: the orchestrator invites `round(k·oversample)`
-    /// clients, precomputes every message's fate from the fault seed,
-    /// accepts the first `k` uploads inside the deadline, and — if fewer
-    /// than `min_quorum` survive — re-samples (bounded) or skips the
-    /// round entirely, aggregating nothing. The strategy then replays
-    /// the surviving script over real envelopes. With no `CommsConfig`
-    /// the loop is exactly the pre-transport simulator.
+    /// Each round first scripts its fate: the orchestrator invites
+    /// `round(k·oversample)` clients, precomputes every message's fate
+    /// from the fault seed, accepts the first `k` uploads inside the
+    /// deadline, and — if fewer than `min_quorum` survive — re-samples
+    /// (bounded) or skips the round entirely, aggregating nothing. The
+    /// strategy then replays the surviving script over real envelopes.
     ///
     /// When tracing is armed each round emits a span tree
     /// `round > { sample, train > client_train×P, aggregate, eval }` with
@@ -261,34 +255,21 @@ impl Simulation {
         let n = self.clients.len();
         // Transport machinery lives for the whole run: one mailbox set,
         // one fault plan (a pure function of the fault seed).
-        let comms_cfg = self
-            .comms
-            .clone()
-            .filter(|c| c.mode == TransportMode::Transport);
-        let transport = comms_cfg.as_ref().map(|_| ChannelTransport::new(n));
-        let plan = comms_cfg
-            .as_ref()
-            .map(|c| FaultPlan::new(c.faults.clone(), c.fault_seed));
+        let cc = &self.comms;
+        let transport = ChannelTransport::new(n);
+        let plan = FaultPlan::new(cc.faults.clone(), cc.fault_seed);
         // A fully lossless chain (identity stages only) is elided at build
         // time: the executor then sends plain frames, so `--codec identity`
         // costs zero header bytes — byte-identical to no codec at all.
-        // (Lossless ≡ plain was already the numeric contract; now it holds
-        // for the wire bytes too.)
         let build_lossy = |spec: &Option<crate::codec::CodecSpec>| {
             spec.as_ref().filter(|s| !s.is_lossless()).map(|s| s.build())
         };
-        let codec: Option<Box<dyn crate::codec::Codec>> =
-            comms_cfg.as_ref().and_then(|c| build_lossy(&c.codec));
-        let codec_down: Option<Box<dyn crate::codec::Codec>> =
-            comms_cfg.as_ref().and_then(|c| build_lossy(&c.codec_down));
-        let codec_sketch: Option<Box<dyn crate::codec::Codec>> = comms_cfg
-            .as_ref()
-            .filter(|_| codec.is_some())
-            .and_then(|c| build_lossy(&c.codec_sketch));
-        let ef_server = comms_cfg
-            .as_ref()
-            .filter(|c| c.error_feedback && codec.is_some())
-            .map(|_| crate::ef::EfServer::default());
+        let codec = build_lossy(&cc.codec);
+        let codec_down = build_lossy(&cc.codec_down);
+        let codec_sketch = codec.as_ref().and_then(|_| build_lossy(&cc.codec_sketch));
+        let ef_server = (cc.error_feedback && codec.is_some()).then(crate::ef::EfServer::default);
+        let base_k = participation_k(n, self.config.participation);
+        let invite_k = ((base_k as f64 * cc.oversample).round() as usize).clamp(base_k, n.max(1));
         for round in 1..=self.config.rounds {
             let mut round_span = fedgta_obs::span!(
                 "round",
@@ -296,62 +277,53 @@ impl Simulation {
                 strategy = strategy_name.clone(),
                 threads = threads,
             );
-            // Sampling — and, in transport mode, fault scripting with
-            // quorum checks. Everything here is driver-side arithmetic on
-            // the seeded RNGs, so thread count cannot leak in.
+            // Sampling and fault scripting with quorum checks. Everything
+            // here is driver-side arithmetic on the seeded RNGs, so thread
+            // count cannot leak in.
             let (participants, script, retries) = {
                 let _g = fedgta_obs::span!("sample");
-                match (&comms_cfg, &plan) {
-                    (Some(cc), Some(plan)) => {
-                        let base_k = participation_k(n, self.config.participation);
-                        let invite_k = ((base_k as f64 * cc.oversample).round() as usize)
-                            .clamp(base_k, n.max(1));
-                        let mut retries = 0u64;
-                        let mut resample = 0usize;
-                        loop {
-                            let sampled = sample_k(n, invite_k, &mut rng);
-                            let s = RoundScript::build(
-                                plan,
-                                round,
-                                resample,
-                                &sampled,
-                                base_k,
-                                cc.deadline_ms,
-                            );
-                            retries += s.total_retries();
-                            observe_stragglers(&s);
-                            record_flight_faults(&s.events);
-                            self.fault_events.extend(s.events.iter().cloned());
-                            if s.accepted.len() >= cc.min_quorum.max(1) {
-                                break (sampled, Some(s), retries);
-                            }
-                            // Quorum failure: this draw's traffic never
-                            // replays through the executor, so account its
-                            // faults here, then re-sample or give up.
-                            record_script_faults(&s);
-                            fedgta_obs::recorder::record_note(
-                                "quorum_fail",
-                                round as u64,
-                                s.accepted.len() as u64,
-                            );
-                            if resample >= cc.max_resamples {
-                                break (sampled, None, retries);
-                            }
-                            self.fault_events.push(FaultEvent {
-                                round,
-                                client: usize::MAX,
-                                kind: FaultKind::Resample,
-                                sim_ms: cc.deadline_ms,
-                            });
-                            resample += 1;
-                        }
+                let mut retries = 0u64;
+                let mut resample = 0usize;
+                loop {
+                    let sampled = sample_k(n, invite_k, &mut rng);
+                    let s = RoundScript::build(
+                        &plan,
+                        round,
+                        resample,
+                        &sampled,
+                        base_k,
+                        cc.deadline_ms,
+                    );
+                    retries += s.total_retries();
+                    observe_stragglers(&s);
+                    record_flight_faults(&s.events);
+                    self.fault_events.extend(s.events.iter().cloned());
+                    if s.accepted.len() >= cc.min_quorum.max(1) {
+                        break (sampled, Some(s), retries);
                     }
-                    _ => (self.sample_participants(&mut rng), None, 0),
+                    // Quorum failure: this draw's traffic never replays
+                    // through the executor, so account its faults here,
+                    // then re-sample or give up.
+                    record_script_faults(&s);
+                    fedgta_obs::recorder::record_note(
+                        "quorum_fail",
+                        round as u64,
+                        s.accepted.len() as u64,
+                    );
+                    if resample >= cc.max_resamples {
+                        break (sampled, None, retries);
+                    }
+                    self.fault_events.push(FaultEvent {
+                        round,
+                        client: usize::MAX,
+                        kind: FaultKind::Resample,
+                        sim_ms: cc.deadline_ms,
+                    });
+                    resample += 1;
                 }
             };
             round_span.record("participants", fedgta_obs::FieldVal::from(participants.len()));
-            let skipped = comms_cfg.is_some() && script.is_none();
-            if skipped {
+            if script.is_none() {
                 // Terminal quorum failure: note it in the flight recorder
                 // and, if armed, write the postmortem dump — the recorder
                 // ring, the deterministic fault log, and the registry
@@ -359,12 +331,11 @@ impl Simulation {
                 // (graceful degradation); the dump is for the operator.
                 fedgta_obs::recorder::record_note("round_skip", round as u64, 0);
                 if let Some(path) = &self.postmortem {
-                    let seed = comms_cfg.as_ref().map_or(0, |c| c.fault_seed);
                     if let Err(e) = crate::postmortem::write_dump(
                         path,
                         "quorum_fail",
                         round,
-                        seed,
+                        cc.fault_seed,
                         &self.fault_events,
                     ) {
                         eprintln!("warning: postmortem dump failed: {e}");
@@ -372,59 +343,41 @@ impl Simulation {
                 }
             }
             let train_clock = fedgta_obs::TimeCell::new();
-            let comms_round = match (&script, &transport) {
-                (Some(s), Some(t)) => Some(
-                    CommsRound::new(round, t, s, codec.as_deref())
-                        .with_sketch(codec_sketch.as_deref())
-                        .with_down(codec_down.as_deref())
-                        .with_error_feedback(ef_server.as_ref()),
-                ),
-                _ => None,
-            };
+            let comms_round = script.as_ref().map(|s| CommsRound {
+                codec_sketch: codec_sketch.as_deref(),
+                codec_down: codec_down.as_deref(),
+                ef: ef_server.as_ref(),
+                ..CommsRound::new(round, &transport, s, codec.as_deref())
+            });
             let t0 = Instant::now();
-            let stats = if skipped {
+            let stats = match &comms_round {
+                Some(cr) => {
+                    let ctx =
+                        RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
+                            .with_train_clock(&train_clock)
+                            .with_comms(cr);
+                    self.strategy.round(&mut self.clients, &participants, &ctx)
+                }
                 // Graceful degradation, last resort: nothing arrived even
                 // after re-sampling — aggregate nothing, keep all models.
-                crate::strategies::RoundStats {
+                None => crate::strategies::RoundStats {
                     mean_loss: 0.0,
                     bytes_uploaded: 0,
                     bytes_downloaded: 0,
-                }
-            } else if let Some(cr) = &comms_round {
-                let ctx =
-                    RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
-                        .with_train_clock(&train_clock)
-                        .with_comms(cr);
-                self.strategy.round(&mut self.clients, &participants, &ctx)
-            } else {
-                let ctx =
-                    RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
-                        .with_train_clock(&train_clock);
-                self.strategy.round(&mut self.clients, &participants, &ctx)
+                },
             };
-            // Wire-byte truth: what the upload leg actually built and
-            // sent. Direct mode has no wire; mirror the analytic count.
-            let (bytes_raw, bytes_encoded, bytes_down_raw, bytes_down_encoded) =
-                match &comms_round {
-                    Some(cr) => {
-                        use std::sync::atomic::Ordering::Relaxed;
-                        (
-                            cr.bytes_raw.load(Relaxed) as usize,
-                            cr.bytes_encoded.load(Relaxed) as usize,
-                            cr.bytes_down_raw.load(Relaxed) as usize,
-                            cr.bytes_down_encoded.load(Relaxed) as usize,
-                        )
-                    }
-                    None if comms_cfg.is_some() => (0, 0, 0, 0),
-                    None => (stats.bytes_uploaded, stats.bytes_uploaded, 0, 0),
-                };
+            // Wire-byte truth: what both legs actually built and sent.
+            let wire = comms_round.as_ref().map_or([0; 4], |cr| {
+                [&cr.bytes_raw, &cr.bytes_encoded, &cr.bytes_down_raw, &cr.bytes_down_encoded]
+                    .map(|b| b.load(std::sync::atomic::Ordering::Relaxed) as usize)
+            });
+            let [bytes_raw, bytes_encoded, bytes_down_raw, bytes_down_encoded] = wire;
             let round_ns = t0.elapsed().as_nanos() as u64;
             let train_ns = train_clock.take_ns().min(round_ns);
             let aggregate_ns = round_ns - train_ns;
-            let (completed, dropped) = match (&script, comms_cfg.is_some()) {
-                (Some(s), _) => (s.accepted.len(), s.fates.len() - s.accepted.len()),
-                (None, true) => (0, participants.len()),
-                (None, false) => (participants.len(), 0),
+            let (completed, dropped) = match &script {
+                Some(s) => (s.accepted.len(), s.dropped()),
+                None => (0, participants.len()),
             };
             let eval_now = round == self.config.rounds
                 || (self.config.eval_every > 0 && round % self.config.eval_every == 0);
@@ -441,8 +394,7 @@ impl Simulation {
             round_span.record("completed", fedgta_obs::FieldVal::from(completed));
             round_span.record("dropped", fedgta_obs::FieldVal::from(dropped));
             round_span.record("retries", fedgta_obs::FieldVal::from(retries));
-            record_round_metrics(&stats, aggregate_ns);
-            record_codec_metrics(bytes_raw, bytes_encoded, bytes_down_raw, bytes_down_encoded);
+            record_round_metrics(wire, stats.bytes_downloaded, aggregate_ns);
             // Flight-recorder breadcrumbs: deterministic per-round values
             // only (byte tallies and acceptance counts are functions of
             // the seeds, never of the clock or thread count), so dumps
@@ -500,53 +452,35 @@ impl Simulation {
     }
 }
 
-/// Accumulates the driver's per-round communication counters and the
-/// aggregation-latency histogram into the global registry (no-op below
-/// [`fedgta_obs::ObsLevel::Metrics`]).
+/// Accumulates one round's byte meters and aggregation latency into the
+/// global registry (no-op below [`fedgta_obs::ObsLevel::Metrics`]): the
+/// raw/encoded bytes of both wire legs (`comms.upload_bytes_raw`,
+/// `comms.upload_bytes_encoded`, `comms.download_bytes_raw`,
+/// `comms.download_bytes_encoded`), the strategy's declared broadcast
+/// volume (`comms.download_bytes` — an uncoded broadcast never crosses
+/// the wire) and the `strategy.aggregate_ns` histogram.
 #[inline]
-fn record_round_metrics(stats: &crate::strategies::RoundStats, aggregate_ns: u64) {
+fn record_round_metrics(wire: [usize; 4], bytes_downloaded: usize, aggregate_ns: u64) {
     use std::sync::{Arc, OnceLock};
     if !fedgta_obs::metrics_on() {
         return;
     }
-    static UP: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static DOWN: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
+    const NAMES: [&str; 5] = [
+        "comms.upload_bytes_raw",
+        "comms.upload_bytes_encoded",
+        "comms.download_bytes_raw",
+        "comms.download_bytes_encoded",
+        "comms.download_bytes",
+    ];
+    static COUNTERS: OnceLock<Vec<Arc<fedgta_obs::Counter>>> = OnceLock::new();
     static AGG: OnceLock<Arc<fedgta_obs::Histogram>> = OnceLock::new();
-    UP.get_or_init(|| fedgta_obs::global().counter("comms.upload_bytes"))
-        .add(stats.bytes_uploaded as u64);
-    DOWN.get_or_init(|| fedgta_obs::global().counter("comms.download_bytes"))
-        .add(stats.bytes_downloaded as u64);
+    let counters = COUNTERS
+        .get_or_init(|| NAMES.iter().map(|n| fedgta_obs::global().counter(n)).collect());
+    for (c, v) in counters.iter().zip(wire.into_iter().chain([bytes_downloaded])) {
+        c.add(v as u64);
+    }
     AGG.get_or_init(|| fedgta_obs::global().histogram("strategy.aggregate_ns"))
         .observe(aggregate_ns);
-}
-
-/// Accumulates the per-round raw/encoded byte splits of both wire legs
-/// into the `comms.upload_bytes_raw` / `comms.upload_bytes_encoded` /
-/// `comms.download_bytes_raw` / `comms.download_bytes_encoded` counters
-/// (no-op below metrics level).
-#[inline]
-fn record_codec_metrics(
-    bytes_raw: usize,
-    bytes_encoded: usize,
-    bytes_down_raw: usize,
-    bytes_down_encoded: usize,
-) {
-    use std::sync::{Arc, OnceLock};
-    if !fedgta_obs::metrics_on() {
-        return;
-    }
-    static RAW: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static ENC: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static DRAW: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static DENC: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    RAW.get_or_init(|| fedgta_obs::global().counter("comms.upload_bytes_raw"))
-        .add(bytes_raw as u64);
-    ENC.get_or_init(|| fedgta_obs::global().counter("comms.upload_bytes_encoded"))
-        .add(bytes_encoded as u64);
-    DRAW.get_or_init(|| fedgta_obs::global().counter("comms.download_bytes_raw"))
-        .add(bytes_down_raw as u64);
-    DENC.get_or_init(|| fedgta_obs::global().counter("comms.download_bytes_encoded"))
-        .add(bytes_down_encoded as u64);
 }
 
 /// The per-round participant count: `clamp(round(n · participation), 1, n)`.
@@ -556,9 +490,8 @@ pub fn participation_k(n: usize, participation: f64) -> usize {
 
 /// Samples a sorted, duplicate-free subset of `0..n` of size `k` by
 /// Fisher–Yates shuffle from the given seeded RNG. `k >= n` returns all
-/// clients **without consuming the RNG** — the oversampling orchestrator
-/// and the direct driver therefore draw identical sequences whenever
-/// their `k`s agree.
+/// clients **without consuming the RNG**, so with no oversampling the
+/// orchestrator draws exactly [`sample_participants`]' sequence.
 pub fn sample_k(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..n).collect();
     if k >= n {

@@ -69,10 +69,11 @@ pub struct RoundCtx<'a> {
     /// without threading timing through every strategy's return value.
     /// Observability only — never read by any strategy.
     pub train_clock: Option<&'a fedgta_obs::TimeCell>,
-    /// Optional transport context: when set, the executor exchanges real
-    /// envelopes over the round's [`crate::transport::Transport`] and
-    /// replays its fault script — only the scripted survivors' results
-    /// come back. `None` = the classic in-process direct path.
+    /// The round's transport context: the executor exchanges envelopes
+    /// over its channel and replays its fault script — only the scripted
+    /// survivors' results come back. `None` (a call outside a
+    /// [`crate::round::Simulation`]) = a fault-free channel the executor
+    /// builds for the call.
     pub comms: Option<&'a crate::transport::CommsRound<'a>>,
     /// The strategy's start-of-round model broadcast, applied by the
     /// executor to every participant before its training closure runs

@@ -1,17 +1,16 @@
 //! Explicit client/server message transport.
 //!
-//! Before this module a federated "round" was a function call and
-//! `comms.upload_bytes` an accounting fiction. Here the server task and
-//! the client tasks exchange **real bytes**: every local-training request
-//! and every parameter upload crosses a [`Transport`] as a versioned,
-//! CRC-checksummed [`fedgta_graph::io::Envelope`] (`FGTM` framing, the
-//! message sibling of the `FGTA` graph codec). The server aggregates what
-//! it can *decode* — a corrupted upload is rejected by checksum exactly
-//! like a real deployment would reject it, not silently healed.
+//! The server task and the client tasks exchange **real bytes**: every
+//! local-training request and every parameter upload crosses the
+//! [`ChannelTransport`] as a versioned, CRC-checksummed
+//! [`fedgta_graph::io::Envelope`] (`FGTM` framing, the message sibling
+//! of the `FGTA` graph codec). The server aggregates what it can
+//! *decode* — a corrupted upload is rejected by checksum exactly like a
+//! real deployment would reject it, not silently healed.
 //!
-//! The first implementation is the in-process [`ChannelTransport`]
-//! (per-endpoint mailboxes); the trait is deliberately tiny so a
-//! TCP/UDS implementation can slot in without touching the executor.
+//! [`ChannelTransport`] is an in-process set of per-endpoint mailboxes
+//! with a two-method surface (`send`, `drain`) a socket transport can
+//! mirror.
 //!
 //! ## Determinism
 //!
@@ -64,19 +63,6 @@ pub enum MsgKind {
     BroadcastCoded = 4,
 }
 
-impl MsgKind {
-    /// Parses the envelope discriminant.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(MsgKind::TrainRequest),
-            2 => Some(MsgKind::Upload),
-            3 => Some(MsgKind::UploadCoded),
-            4 => Some(MsgKind::BroadcastCoded),
-            _ => None,
-        }
-    }
-}
-
 /// Errors from a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
@@ -94,23 +80,11 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// A byte-message transport between the server and its clients.
-///
-/// Implementations move opaque frames; they do not interpret, reorder
-/// semantically, or repair them. Fault injection lives *above* the
-/// transport (the executor replays a deterministic fault script), so any
-/// implementation — in-process channels today, sockets tomorrow — sees
-/// identical traffic for identical seeds.
-pub trait Transport: Send + Sync {
-    /// Enqueues `frame` for `to`. Never blocks.
-    fn send(&self, to: Endpoint, frame: Vec<u8>) -> Result<(), TransportError>;
-    /// Drains every frame currently queued at `at`, in arrival order.
-    fn drain(&self, at: Endpoint) -> Vec<Vec<u8>>;
-    /// Number of client endpoints.
-    fn num_clients(&self) -> usize;
-}
-
 /// In-process transport: one mailbox per endpoint.
+///
+/// It moves opaque frames; it does not interpret, reorder semantically,
+/// or repair them. Fault injection lives *above* the transport (the
+/// executor replays a deterministic fault script).
 pub struct ChannelTransport {
     server: Mutex<VecDeque<Vec<u8>>>,
     clients: Vec<Mutex<VecDeque<Vec<u8>>>>,
@@ -131,29 +105,30 @@ impl ChannelTransport {
             Endpoint::Client(i) => self.clients.get(i),
         }
     }
-}
 
-impl Transport for ChannelTransport {
-    fn send(&self, to: Endpoint, frame: Vec<u8>) -> Result<(), TransportError> {
+    /// Enqueues `frame` for `to`. Never blocks.
+    pub fn send(&self, to: Endpoint, frame: Vec<u8>) -> Result<(), TransportError> {
         let q = self.queue(to).ok_or(TransportError::UnknownEndpoint)?;
         q.lock().unwrap_or_else(|e| e.into_inner()).push_back(frame);
         Ok(())
     }
 
-    fn drain(&self, at: Endpoint) -> Vec<Vec<u8>> {
+    /// Drains every frame currently queued at `at`, in arrival order.
+    pub fn drain(&self, at: Endpoint) -> Vec<Vec<u8>> {
         match self.queue(at) {
             Some(q) => q.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect(),
             None => Vec::new(),
         }
     }
 
-    fn num_clients(&self) -> usize {
+    /// Number of client endpoints.
+    pub fn num_clients(&self) -> usize {
         self.clients.len()
     }
 }
 
 /// The transport context of one orchestrated round, handed to the
-/// executor via [`crate::strategies::RoundCtx::comms`]. When present,
+/// executor via [`crate::strategies::RoundCtx::comms`].
 /// [`crate::exec::train_participants`] routes every local-training
 /// request and upload through `transport` as checksummed envelopes,
 /// replaying the round's deterministic fault `script`.
@@ -161,7 +136,7 @@ pub struct CommsRound<'a> {
     /// Round index (1-based, stamped into envelopes).
     pub round: usize,
     /// The byte mover.
-    pub transport: &'a dyn Transport,
+    pub transport: &'a ChannelTransport,
     /// The precomputed fate of every sampled participant.
     pub script: &'a crate::faults::RoundScript,
     /// Armed upload codec (`None` = plain [`MsgKind::Upload`] frames).
@@ -193,10 +168,11 @@ pub struct CommsRound<'a> {
 }
 
 impl<'a> CommsRound<'a> {
-    /// A round context with zeroed byte tallies.
+    /// A round context with zeroed byte tallies and no sketch codec,
+    /// download codec or error feedback.
     pub fn new(
         round: usize,
-        transport: &'a dyn Transport,
+        transport: &'a ChannelTransport,
         script: &'a crate::faults::RoundScript,
         codec: Option<&'a dyn Codec>,
     ) -> Self {
@@ -214,34 +190,11 @@ impl<'a> CommsRound<'a> {
             bytes_down_encoded: AtomicU64::new(0),
         }
     }
-
-    /// Arms the sketch codec for auxiliary payload tensors (builder
-    /// style).
-    #[must_use]
-    pub fn with_sketch(mut self, sketch: Option<&'a dyn Codec>) -> Self {
-        self.codec_sketch = sketch;
-        self
-    }
-
-    /// Arms the download codec for the broadcast leg (builder style).
-    #[must_use]
-    pub fn with_down(mut self, down: Option<&'a dyn Codec>) -> Self {
-        self.codec_down = down;
-        self
-    }
-
-    /// Arms error feedback with the server's reference store (builder
-    /// style).
-    #[must_use]
-    pub fn with_error_feedback(mut self, ef: Option<&'a crate::ef::EfServer>) -> Self {
-        self.ef = ef;
-        self
-    }
 }
 
 /// Flips one bit of `frame` (index taken modulo the frame length) — the
 /// physical corruption the fault layer applies to in-flight envelopes.
-/// [`fedgta_graph::io::Envelope::decode`]'s CRC-32 rejects every such
+/// [`fedgta_graph::io::Envelope::parse`]'s CRC-32 rejects every such
 /// mutation.
 pub fn corrupt_frame(frame: &mut [u8], bit_seed: u64) {
     if frame.is_empty() {
@@ -284,14 +237,16 @@ impl<'a> TensorRouter<'a> {
 /// A value that can cross the transport inside an envelope payload.
 ///
 /// Every implementation must round-trip **bit-exactly** — floats are
-/// moved as raw little-endian bit patterns — because the no-fault
-/// transport mode is contractually bit-identical to the in-process
-/// simulator. Lengths are length-prefixed so tuples concatenate safely.
+/// moved as raw little-endian bit patterns — because a fault-free round
+/// must return exactly what each client's training closure produced.
+/// Lengths are length-prefixed so tuples concatenate safely.
 pub trait WirePayload: Sized {
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decodes one value from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self, IoError>;
+    /// Exact length of [`WirePayload::encode`]'s output.
+    fn wire_len(&self) -> usize;
     /// Codec-aware encoding: `Vec<f32>` tensors route through the
     /// router's armed codecs, containers recurse, and every scalar keeps
     /// its plain bit-exact encoding (losses, confidences and counts are
@@ -324,6 +279,9 @@ impl WirePayload for () {
     fn decode(_input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(())
     }
+    fn wire_len(&self) -> usize {
+        0
+    }
 }
 
 impl WirePayload for f32 {
@@ -332,6 +290,9 @@ impl WirePayload for f32 {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(f32::from_le_bytes(take(input, 4)?.try_into().unwrap()))
+    }
+    fn wire_len(&self) -> usize {
+        4
     }
 }
 
@@ -342,6 +303,9 @@ impl WirePayload for f64 {
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(f64::from_le_bytes(take(input, 8)?.try_into().unwrap()))
     }
+    fn wire_len(&self) -> usize {
+        8
+    }
 }
 
 impl WirePayload for u64 {
@@ -350,6 +314,9 @@ impl WirePayload for u64 {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(u64::from_le_bytes(take(input, 8)?.try_into().unwrap()))
+    }
+    fn wire_len(&self) -> usize {
+        8
     }
 }
 
@@ -360,14 +327,20 @@ impl WirePayload for usize {
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(u64::decode(input)? as usize)
     }
+    fn wire_len(&self) -> usize {
+        8
+    }
 }
 
 impl WirePayload for Vec<f32> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        // One exact-size extend: pushing word by word re-checks the
+        // capacity per element and runs an order of magnitude slower.
+        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+    }
+    fn wire_len(&self) -> usize {
+        8 + 4 * self.len()
     }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         let n = u64::decode(input)? as usize;
@@ -391,9 +364,12 @@ impl WirePayload for Vec<f32> {
 impl WirePayload for Vec<f64> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        // One exact-size extend: pushing word by word re-checks the
+        // capacity per element and runs an order of magnitude slower.
+        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+    }
+    fn wire_len(&self) -> usize {
+        8 + 8 * self.len()
     }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         let n = u64::decode(input)? as usize;
@@ -421,6 +397,9 @@ impl<T: WirePayload> WirePayload for Option<T> {
             1 => Ok(Some(T::decode(input)?)),
             _ => Err(IoError::Corrupt("bad option tag")),
         }
+    }
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::wire_len)
     }
     fn encode_coded(&self, router: &mut TensorRouter<'_>, out: &mut Vec<u8>) {
         match self {
@@ -454,6 +433,9 @@ macro_rules! impl_wire_tuple {
             fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
                 Ok(($($name::decode(input)?,)+))
             }
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$idx.wire_len())+
+            }
             fn encode_coded(&self, router: &mut TensorRouter<'_>, out: &mut Vec<u8>) {
                 $(self.$idx.encode_coded(router, out);)+
             }
@@ -473,7 +455,7 @@ impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 /// Encodes one client upload — local loss plus the strategy payload —
 /// into envelope payload bytes.
 pub fn encode_upload<R: WirePayload>(loss: f32, payload: &R) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(4 + payload.wire_len());
     loss.encode(&mut out);
     payload.encode(&mut out);
     out

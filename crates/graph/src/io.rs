@@ -733,10 +733,13 @@ pub struct TraceContext {
 /// `round: u32`, `sender: u32`, `seq: u32`, *(version 2 only:
 /// `trace_id: u64`, `parent_span: u64`)*, `payload_len: u64`, payload
 /// bytes, then a CRC-32 (IEEE) over everything before it. Any mutation of
-/// any byte — header or payload — fails [`Envelope::decode`], so a
+/// any byte — header or payload — fails [`Envelope::parse`], so a
 /// receiver can reject corrupted traffic instead of aggregating garbage.
+///
+/// The payload is owned (`Vec<u8>`) when built or [`Envelope::decode`]d
+/// and borrowed from the frame (`&[u8]`) when [`Envelope::parse`]d.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
+pub struct Envelope<P = Vec<u8>> {
     /// Message kind discriminant (transport-level meaning; opaque here).
     pub kind: u8,
     /// Federated round the message belongs to (1-based).
@@ -748,7 +751,7 @@ pub struct Envelope {
     /// Optional trace correlation; `Some` selects the version-2 layout.
     pub trace: Option<TraceContext>,
     /// Opaque payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
 /// Envelope header bytes before the payload (version-1 layout).
@@ -760,9 +763,23 @@ const TRACE_CONTEXT_BYTES: usize = 8 + 8;
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
 /// Detects all single-bit and burst errors shorter than 32 bits — the
-/// guarantee the envelope's corruption rejection rests on.
+/// guarantee the envelope's corruption rejection rests on. Inputs of 64
+/// bytes or more fold 16 bytes per carry-less multiply when the CPU has
+/// PCLMULQDQ (detected at run time); shorter inputs and other targets
+/// take the byte-at-a-time table loop. Both compute the same function.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Byte-at-a-time table, built once.
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: PCLMULQDQ, the one feature `clmul::crc32` enables, is
+        // present on this CPU (checked just above).
+        return unsafe { clmul::crc32(bytes) };
+    }
+    !crc32_table(!0, bytes)
+}
+
+/// Byte-at-a-time table loop over the un-inverted CRC state: the
+/// fallback for short inputs and other targets, and the test reference.
+fn crc32_table(mut state: u32, bytes: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -775,28 +792,102 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
         t
     });
-    let mut crc = !0u32;
     for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        state = table[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
-    !crc
+    state
 }
 
-impl Envelope {
-    /// Serializes the envelope to its wire bytes (header + payload + CRC).
+/// CRC-32 by carry-less-multiply folding (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009), in
+/// its bit-reflected form: four 128-bit lanes fold 64 bytes per step,
+/// collapse into one lane, reduce to 64 bits and finish with a Barrett
+/// reduction. The sub-16-byte tail goes through the table loop.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128 as and, _mm_clmulepi64_si128 as mul, _mm_cvtsi128_si32,
+        _mm_cvtsi32_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128 as shr,
+        _mm_xor_si128 as xor,
+    };
+
+    /// Shortest input folded: one 16-byte block per lane.
+    pub const MIN_LEN: usize = 64;
+    /// `x^(4·128+32)`, `x^(4·128-32)` mod P: fold a lane 512 bits on.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// `x^(128+32)`, `x^(128-32)` mod P: fold a lane 128 bits on.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `x^64` mod P: the 96-to-64-bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P(x) and μ = ⌊x^64 / P(x)⌋, bit-reflected, for the Barrett step.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(block: &[u8]) -> __m128i {
+        let half = |h: &[u8]| u64::from_le_bytes(h.try_into().expect("8-byte half")) as i64;
+        _mm_set_epi64x(half(&block[8..16]), half(&block[..8]))
+    }
+
+    /// `acc · x^k ⊕ next`, with `k` encoded in `keys`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        xor(xor(next, mul::<0x00>(acc, keys)), mul::<0x11>(acc, keys))
+    }
+
+    /// The finished CRC-32 of `bytes` (`bytes.len() >= MIN_LEN`). Code
+    /// not compiled for PCLMULQDQ calls it in `unsafe`, after checking
+    /// that the CPU has the instruction.
+    #[target_feature(enable = "pclmulqdq")]
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        let (body, tail) = bytes.split_at(bytes.len() & !15);
+        let mut blocks = body.chunks_exact(16).map(|b| load(b));
+        let mut next = || blocks.next().expect("MIN_LEN guarantees four blocks");
+        let mut lanes = [next(), next(), next(), next()];
+        lanes[0] = xor(lanes[0], _mm_cvtsi32_si128(!0));
+        let k12 = _mm_set_epi64x(K2, K1);
+        let mut left = body.len() / 16 - 4;
+        while left >= 4 {
+            for lane in &mut lanes {
+                *lane = fold(*lane, next(), k12);
+            }
+            left -= 4;
+        }
+        let k34 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold(fold(fold(lanes[0], lanes[1], k34), lanes[2], k34), lanes[3], k34);
+        for _ in 0..left {
+            acc = fold(acc, next(), k34);
+        }
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = xor(mul::<0x10>(acc, k34), shr::<8>(acc));
+        let acc = xor(mul::<0x00>(and(acc, low32), _mm_set_epi64x(0, K5)), shr::<4>(acc));
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = mul::<0x10>(and(acc, low32), pmu);
+        let t2 = mul::<0x00>(and(t1, low32), pmu);
+        let state = _mm_cvtsi128_si32(shr::<4>(xor(acc, t2))) as u32;
+        !super::crc32_table(state, tail)
+    }
+}
+
+impl<P> Envelope<P> {
+    /// Serializes the envelope into one buffer: the header, the payload
+    /// bytes `write` appends (`len_hint` sizes the buffer), then the CRC.
+    /// `write` emits straight into the frame, so a payload never needs a
+    /// buffer of its own.
     ///
     /// Frames without a trace context emit the version-1 layout — byte
     /// for byte what they emitted before the traced extension existed —
     /// so untraced runs stay bit-identical on the wire.
-    pub fn encode(&self) -> Vec<u8> {
-        let extra = if self.trace.is_some() { TRACE_CONTEXT_BYTES } else { 0 };
-        let mut out = Vec::with_capacity(ENVELOPE_HEADER + extra + self.payload.len() + 4);
+    pub fn encode_with(&self, len_hint: usize, write: impl FnOnce(&P, &mut Vec<u8>)) -> Vec<u8> {
+        let (version, header) = match self.trace {
+            Some(_) => (ENVELOPE_VERSION_TRACED, ENVELOPE_HEADER + TRACE_CONTEXT_BYTES),
+            None => (ENVELOPE_VERSION, ENVELOPE_HEADER),
+        };
+        let mut out = Vec::with_capacity(header + len_hint + 4);
         out.extend_from_slice(ENVELOPE_MAGIC);
-        out.push(if self.trace.is_some() {
-            ENVELOPE_VERSION_TRACED
-        } else {
-            ENVELOPE_VERSION
-        });
+        out.push(version);
         out.push(self.kind);
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.sender.to_le_bytes());
@@ -805,20 +896,33 @@ impl Envelope {
             out.extend_from_slice(&tc.trace_id.to_le_bytes());
             out.extend_from_slice(&tc.parent_span.to_le_bytes());
         }
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(&0u64.to_le_bytes());
+        write(&self.payload, &mut out);
+        let len = (out.len() - header) as u64;
+        out[header - 8..header].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
+}
 
-    /// Parses and verifies one envelope from `bytes`.
+impl<P: AsRef<[u8]>> Envelope<P> {
+    /// Serializes the envelope to its wire bytes (header + payload + CRC).
+    pub fn encode(&self) -> Vec<u8> {
+        let payload = self.payload.as_ref();
+        self.encode_with(payload.len(), |_, out| out.extend_from_slice(payload))
+    }
+}
+
+impl<'a> Envelope<&'a [u8]> {
+    /// Parses and verifies one envelope from `bytes`, borrowing the
+    /// payload from the frame.
     ///
     /// Accepts both the version-1 and the version-2 (traced) layouts.
     /// Rejects bad magic, unknown versions, truncated or over-long
     /// frames, hostile length fields, and — via the trailing CRC-32 —
     /// any bit corruption anywhere in the frame.
-    pub fn decode(bytes: &[u8]) -> Result<Envelope, IoError> {
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, IoError> {
         if bytes.len() < ENVELOPE_HEADER + 4 {
             return Err(IoError::Corrupt("envelope shorter than header"));
         }
@@ -852,19 +956,20 @@ impl Envelope {
         if bytes.len() != header + len + 4 {
             return Err(IoError::Corrupt("envelope length mismatch"));
         }
-        let body = &bytes[..header + len];
         let want = u32::from_le_bytes(bytes[header + len..].try_into().unwrap());
-        if crc32(body) != want {
+        if crc32(&bytes[..header + len]) != want {
             return Err(IoError::Corrupt("crc mismatch"));
         }
-        Ok(Envelope {
-            kind,
-            round,
-            sender,
-            seq,
-            trace,
-            payload: bytes[header..header + len].to_vec(),
-        })
+        let payload = &bytes[header..header + len];
+        Ok(Envelope { kind, round, sender, seq, trace, payload })
+    }
+}
+
+impl Envelope {
+    /// [`Envelope::parse`], copying the payload out of the frame.
+    pub fn decode(bytes: &[u8]) -> Result<Envelope, IoError> {
+        let Envelope { kind, round, sender, seq, trace, payload } = Envelope::parse(bytes)?;
+        Ok(Envelope { kind, round, sender, seq, trace, payload: payload.to_vec() })
     }
 }
 
@@ -1110,7 +1215,7 @@ mod tests {
 
     #[test]
     fn envelope_rejects_any_single_bit_flip() {
-        let e = Envelope {
+        let e: Envelope = Envelope {
             kind: 2,
             round: 42,
             sender: 5,
@@ -1150,6 +1255,25 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_table_reference_at_every_length_and_offset() {
+        let bytes = |n: usize| -> Vec<u8> {
+            (0..n as u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect()
+        };
+        let reference = |b: &[u8]| !crc32_table(!0, b);
+        // Every length across the table/CLMUL boundary and several fold
+        // loops, at every 16-byte misalignment.
+        let buf = bytes(1024 + 16);
+        for off in 0..16 {
+            for len in 0..=1024 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), reference(s), "offset {off} length {len}");
+            }
+        }
+        let big = bytes((1 << 20) + 13);
+        assert_eq!(crc32(&big), reference(&big));
     }
 
     #[test]

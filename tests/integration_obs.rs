@@ -103,8 +103,8 @@ fn traced_run_emits_complete_round_span_tree() {
     assert_eq!(summary.strategies.len(), 1);
     assert_eq!(summary.strategies[0].strategy, "FedGTA");
     assert!(
-        summary.metrics.iter().any(|m| m.name == "comms.upload_bytes"),
-        "metric flush missing comms.upload_bytes: {:?}",
+        summary.metrics.iter().any(|m| m.name == "comms.upload_bytes_raw"),
+        "metric flush missing comms.upload_bytes_raw: {:?}",
         summary.metrics.iter().map(|m| &m.name).collect::<Vec<_>>()
     );
     assert!(summary.metrics.iter().any(|m| m.name == "round.client.train_ns"));
@@ -143,9 +143,14 @@ fn metrics_level_accumulates_without_a_sink() {
     fedgta_obs::set_level(ObsLevel::Off);
     let snaps = fedgta_obs::global().snapshot();
     let get = |name: &str| snaps.iter().find(|s| s.name == name).map(|s| s.value);
-    let expected_up: u64 = records.iter().map(|r| r.bytes_uploaded as u64).sum();
+    // Upload bytes have one meter, the wire.
+    let expected_raw: u64 = records.iter().map(|r| r.bytes_uploaded_raw as u64).sum();
+    let expected_enc: u64 = records.iter().map(|r| r.bytes_uploaded_encoded as u64).sum();
     let expected_down: u64 = records.iter().map(|r| r.bytes_downloaded as u64).sum();
-    assert_eq!(get("comms.upload_bytes"), Some(expected_up));
+    assert!(expected_raw > 0);
+    assert_eq!(get("comms.upload_bytes"), None);
+    assert_eq!(get("comms.upload_bytes_raw"), Some(expected_raw));
+    assert_eq!(get("comms.upload_bytes_encoded"), Some(expected_enc));
     assert_eq!(get("comms.download_bytes"), Some(expected_down));
     // Per-client train histogram saw participants × rounds samples.
     let train = snaps

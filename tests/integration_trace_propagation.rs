@@ -3,8 +3,9 @@
 //!
 //! 1. the span tree of a **channel-transport** run (client spans
 //!    parented through the `TraceContext` carried in FGTM envelopes) is
-//!    isomorphic to the **direct-path** tree — the contract a future TCP
-//!    transport inherits unchanged;
+//!    isomorphic to the tree of the in-process function-call round the
+//!    simulator ran before every round crossed the channel — the
+//!    contract a future TCP transport inherits unchanged;
 //! 2. a fault-free run with the flight recorder armed *and* a live
 //!    `/metrics` endpoint serving is bit-identical (records and final
 //!    model parameters) to a bare run, at 1 and 4 threads;
@@ -117,38 +118,32 @@ fn assert_same_numbers(a: &[RoundRecord], b: &[RoundRecord], label: &str) {
     }
 }
 
+/// [`canonical_shape`] of a traced 3-round, 4-client FedAvg run of
+/// [`build_sim`], recorded from the in-process function-call round (whose
+/// client spans parented through process-local state) before that round
+/// was deleted.
+const DIRECT_SHAPE: &str = "\
+round(aggregate(),eval(),sample(),train(client_train(),client_train(),client_train(),client_train()))
+round(aggregate(),eval(),sample(),train(client_train(),client_train(),client_train(),client_train()))
+round(aggregate(),sample(),train(client_train(),client_train(),client_train(),client_train()))";
+
 #[test]
 fn channel_span_tree_is_isomorphic_to_direct_tree() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (rec_direct, trace_direct) = run_traced(2, 3, None);
-    let (rec_channel, trace_channel) = run_traced(
-        2,
-        3,
-        Some(CommsConfig {
-            mode: TransportMode::Transport,
-            ..CommsConfig::default()
-        }),
-    );
-    // Clean transport is numerically the direct path (byte tallies are
-    // metered differently — wire frames carry the loss — so compare the
-    // learning numbers, not the accounting)…
-    assert_eq!(rec_direct.len(), rec_channel.len());
-    for (ra, rb) in rec_direct.iter().zip(&rec_channel) {
-        assert_eq!(ra.mean_loss.to_bits(), rb.mean_loss.to_bits(), "round {}", ra.round);
-        assert_eq!(ra.test_acc.map(f64::to_bits), rb.test_acc.map(f64::to_bits));
-    }
-    // …and its span tree — client spans parented through the envelope's
-    // TraceContext, not process-local state — has exactly the same shape.
-    let shape_direct = canonical_shape(&trace_direct);
+    let (records, trace_channel) = run_traced(2, 3, None);
+    assert_eq!(records.len(), 3);
+    // The span tree — client spans parented through the envelope's
+    // TraceContext, not process-local state — has exactly the shape the
+    // in-process round produced.
     let shape_channel = canonical_shape(&trace_channel);
     assert_eq!(
-        shape_direct, shape_channel,
+        shape_channel, DIRECT_SHAPE,
         "channel-transport span tree must be isomorphic to the direct tree"
     );
     // Spot-check the shape itself: each round holds a train span with
     // one client_train per participant.
-    assert_eq!(shape_direct.matches("round(").count(), 3);
-    assert_eq!(shape_direct.matches("client_train()").count(), 3 * 4);
+    assert_eq!(shape_channel.matches("round(").count(), 3);
+    assert_eq!(shape_channel.matches("client_train()").count(), 3 * 4);
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! The transport-layer contracts, end-to-end.
 //!
-//! Contract 1 (equivalence): with no faults configured, routing every
-//! round over the in-process [`fedgta_fed::transport::ChannelTransport`]
-//! — real FGTM envelopes, CRC verification, upload decoding — produces
-//! **bit-identical** results to the classic direct function-call round,
-//! for every strategy, at any thread count.
+//! Contract 1 (equivalence): with no faults configured, a round over the
+//! in-process [`fedgta_fed::transport::ChannelTransport`] — real FGTM
+//! envelopes, CRC verification, upload decoding — produces
+//! **bit-identical** results to the in-process function-call round the
+//! simulator had before every round crossed the channel, for every
+//! strategy, at any thread count. That round no longer exists; its
+//! results live on as digests ([`GOLDEN`]) recorded from it.
 //!
 //! Contract 2 (reproducible chaos): with faults enabled, the same fault
 //! seed yields bit-identical round records *and* an identical fault
@@ -23,31 +25,120 @@ use fedgta_fed::strategies::{
 };
 use fedgta_nn::models::ModelKind;
 
-/// Runs a 10-client simulation, optionally over the channel transport.
+/// Runs a 10-client simulation; returns its records and the finished
+/// simulation (fault log, client models).
+fn simulate(
+    strategy: Box<dyn Strategy>,
+    threads: usize,
+    participation: f64,
+    (rounds, eval_every): (usize, usize),
+    comms: CommsConfig,
+) -> (Vec<RoundRecord>, Simulation) {
+    let clients = federation_with(ModelKind::Sgc, 900, 10, 900);
+    let config = SimConfig { rounds, local_epochs: 2, participation, eval_every, seed: 900, threads };
+    let mut sim = Simulation::new(clients, strategy, config).with_comms(comms);
+    (sim.run(), sim)
+}
+
+/// Six rounds of [`simulate`], evaluated every other round (`None` = the
+/// default, fault-free comms).
 fn run_sim(
     strategy: Box<dyn Strategy>,
     threads: usize,
     participation: f64,
     comms: Option<CommsConfig>,
 ) -> (Vec<RoundRecord>, Vec<FaultEvent>) {
-    let clients = federation_with(ModelKind::Sgc, 900, 10, 900);
-    let mut sim = Simulation::new(
-        clients,
-        strategy,
-        SimConfig {
-            rounds: 6,
-            local_epochs: 2,
-            participation,
-            eval_every: 2,
-            seed: 900,
-            threads,
-        },
-    );
-    if let Some(cc) = comms {
-        sim = sim.with_comms(cc);
-    }
-    let records = sim.run();
+    let (records, sim) = simulate(strategy, threads, participation, (6, 2), comms.unwrap_or_default());
     (records, sim.fault_events)
+}
+
+fn params(sim: &Simulation) -> Vec<Vec<f32>> {
+    sim.clients.iter().map(|c| c.model.params()).collect()
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes = words.into_iter().flat_map(u64::to_le_bytes);
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Digest of every non-clock [`RoundRecord`] field the in-process round
+/// produced, plus the bits of the final client parameters. Left out:
+/// wall-clock fields, the resolved thread count (never part of a
+/// result), and the upload wire meters, which that round mirrored from
+/// the analytic count (see [`wire_digest`]).
+fn learning_digest(records: &[RoundRecord], params: &[Vec<f32>]) -> u64 {
+    let records = records.iter().flat_map(|r| {
+        let acc = r.test_acc.map_or(vec![0], |a| vec![1, a.to_bits()]);
+        [r.round as u64, r.mean_loss.to_bits() as u64].into_iter().chain(acc).chain([
+            r.bytes_uploaded as u64,
+            r.bytes_downloaded as u64,
+            r.bytes_downloaded_raw as u64,
+            r.bytes_downloaded_encoded as u64,
+            r.participants_completed as u64,
+            r.participants_dropped as u64,
+            r.retries,
+        ])
+    });
+    let params = params
+        .iter()
+        .flat_map(|p| std::iter::once(p.len() as u64).chain(p.iter().map(|v| v.to_bits() as u64)));
+    fnv(records.chain(params))
+}
+
+/// Digest of the upload wire meters (`bytes_uploaded_raw`,
+/// `bytes_uploaded_encoded`) of every round.
+fn wire_digest(records: &[RoundRecord]) -> u64 {
+    fnv(records.iter().flat_map(|r| [r.bytes_uploaded_raw as u64, r.bytes_uploaded_encoded as u64]))
+}
+
+/// `(strategy, participation, learning digest, wire digest)` of
+/// [`run_sim`] with the default (fault-free) comms, in
+/// [`all_strategies`] order. The learning
+/// digests were recorded from the in-process function-call round, the
+/// wire digests from a fault-free channel run, both at 1 and 4 threads
+/// before that round was deleted.
+const GOLDEN: &[(&str, f64, u64, u64)] = &[
+    ("FedAvg", 1.0, 0xe086359b2f519fc6, 0x1ae0b35809cf03b5),
+    ("FedProx", 1.0, 0x05df6b1930407584, 0x1ae0b35809cf03b5),
+    ("Scaffold", 1.0, 0xba37da3abcb52a57, 0x426ce7d07d99be85),
+    ("MOON", 1.0, 0xa1ca47e8263abaf6, 0x1ae0b35809cf03b5),
+    ("FedDC", 1.0, 0x1e7bd93ab84a7ff7, 0x1ae0b35809cf03b5),
+    ("GCFL+", 1.0, 0xe086359b2f519fc6, 0x1bceee52a9ba3905),
+    ("DP+FedAvg", 1.0, 0x1ab22c95367fd723, 0x1ae0b35809cf03b5),
+    ("LocalOnly", 1.0, 0x778b6e9d7c8b5538, 0x225c3b4cfa1859a5),
+    ("FedGTA", 1.0, 0xc4ee510749891e19, 0xe16326390bad27c5),
+    ("FedAvg", 0.5, 0xae666e89b563aad7, 0x616aeaa2b83c55a5),
+    ("FedProx", 0.5, 0x43dfa4774811871b, 0x616aeaa2b83c55a5),
+    ("Scaffold", 0.5, 0x28b21d359424ea5a, 0x03d1ecbd09154565),
+    ("MOON", 0.5, 0xd419106f79a7badc, 0x616aeaa2b83c55a5),
+    ("FedDC", 0.5, 0xda152ed33812796b, 0x616aeaa2b83c55a5),
+    ("GCFL+", 0.5, 0xae666e89b563aad7, 0x7af4a96c764a2565),
+    ("DP+FedAvg", 0.5, 0x97be2c8d3566b068, 0x616aeaa2b83c55a5),
+    ("LocalOnly", 0.5, 0x57c92be50ca30569, 0x825758f8d5e526a5),
+    ("FedGTA", 0.5, 0x7f39ad1cefe1cbff, 0xf1efc091676cd5a5),
+];
+
+/// Digest of every client's parameters after the 4-round FedGTA run of
+/// [`clean_transport_fedgta_final_parameters_match_direct`], recorded
+/// from the in-process round at 1, 2 and 4 threads.
+const GOLDEN_FEDGTA_PARAMS: u64 = 0xa64f209ead0ba02b;
+
+/// Checks every strategy's fault-free channel run at `participation`
+/// against [`GOLDEN`], at 1 and 4 worker threads.
+fn assert_golden(participation: f64) {
+    let golden = GOLDEN.iter().filter(|g| g.1 == participation);
+    for ((label, make), &(name, _, learning, wire)) in all_strategies().into_iter().zip(golden) {
+        assert_eq!(label, name, "GOLDEN follows all_strategies() order");
+        for threads in [1usize, 4] {
+            let (records, sim) =
+                simulate(make(), threads, participation, (6, 2), CommsConfig::default());
+            let tag = format!("{label}@{participation} channel@{threads}");
+            assert_eq!(learning_digest(&records, &params(&sim)), learning, "{tag}: learning");
+            assert_eq!(wire_digest(&records), wire, "{tag}: wire digest");
+            assert!(sim.fault_events.is_empty(), "{tag}: clean run logged faults");
+        }
+    }
 }
 
 /// Asserts two record sequences are bit-identical in everything except
@@ -114,68 +205,29 @@ fn clean_transport_is_bit_identical_to_direct_for_every_strategy() {
     // verify → decode → aggregate) must be invisible when nothing fails,
     // for all 8 baseline strategies plus the FedGTA core, at 1 and 4
     // worker threads.
-    for (label, make) in all_strategies() {
-        let (direct, _) = run_sim(make(), 1, 1.0, None);
-        let (chan1, ev1) = run_sim(make(), 1, 1.0, Some(CommsConfig::default()));
-        let (chan4, ev4) = run_sim(make(), 4, 1.0, Some(CommsConfig::default()));
-        assert_bit_identical(&direct, &chan1, &format!("{label} direct vs channel@1"));
-        assert_bit_identical(&direct, &chan4, &format!("{label} direct vs channel@4"));
-        assert!(ev1.is_empty() && ev4.is_empty(), "{label}: clean runs logged faults");
-        // With no faults every sampled participant completes.
-        for r in &chan1 {
-            assert_eq!(r.participants_dropped, 0, "{label}: clean run dropped clients");
-            assert_eq!(r.retries, 0, "{label}: clean run retried");
-            assert!(r.participants_completed > 0);
-        }
-    }
+    assert_golden(1.0);
 }
 
 #[test]
 fn clean_transport_partial_participation_matches_direct() {
     // Sampling shares the driver RNG; the transport path must consume the
     // identical draw sequence (oversample 1.0 ⇒ same invite set).
-    let (direct, _) = run_sim(Box::new(FedAvg::new()), 1, 0.5, None);
-    let (chan, _) = run_sim(Box::new(FedAvg::new()), 3, 0.5, Some(CommsConfig::default()));
-    assert_bit_identical(&direct, &chan, "FedAvg@50% direct vs channel");
+    assert_golden(0.5);
 }
 
 #[test]
 fn clean_transport_fedgta_final_parameters_match_direct() {
     // Stronger than record equality: every client's parameter vector after
-    // the personalized server rounds must agree bitwise between the two
-    // message paths.
-    let run = |comms: Option<CommsConfig>| -> Vec<Vec<f32>> {
-        let clients = federation_with(ModelKind::Sgc, 900, 10, 900);
-        let mut sim = Simulation::new(
-            clients,
-            Box::new(FedGta::with_defaults()),
-            SimConfig {
-                rounds: 4,
-                local_epochs: 2,
-                participation: 1.0,
-                eval_every: 0,
-                seed: 900,
-                threads: 2,
-            },
+    // the personalized server rounds must agree bitwise with the
+    // in-process round's.
+    for threads in [1usize, 4] {
+        let gta = Box::new(FedGta::with_defaults());
+        let (_, sim) = simulate(gta, threads, 1.0, (4, 0), CommsConfig::default());
+        assert_eq!(
+            learning_digest(&[], &params(&sim)),
+            GOLDEN_FEDGTA_PARAMS,
+            "final parameters differ from the in-process round at {threads} threads"
         );
-        if let Some(cc) = comms {
-            sim = sim.with_comms(cc);
-        }
-        sim.run();
-        sim.clients.iter().map(|c| c.model.params()).collect()
-    };
-    let direct = run(None);
-    let channel = run(Some(CommsConfig::default()));
-    assert_eq!(direct.len(), channel.len());
-    for (i, (a, b)) in direct.iter().zip(&channel).enumerate() {
-        assert_eq!(a.len(), b.len(), "client {i}: param lengths differ");
-        for (j, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "client {i} param {j}: {x} (direct) vs {y} (channel)"
-            );
-        }
     }
 }
 
